@@ -227,6 +227,20 @@ impl<'a> PayloadReader<'a> {
         Ok(rest)
     }
 
+    /// Require the next line's value to be exactly `expected`: a field
+    /// whose only supported value is a constant (kept so older payloads
+    /// stay byte-identical), rejected by name when it holds anything else.
+    pub fn constant(&mut self, name: &str, expected: &str) -> Result<(), String> {
+        let raw = self.field(name)?;
+        if raw == expected {
+            Ok(())
+        } else {
+            Err(format!(
+                "unsupported value '{raw}' for field '{name}' (only '{expected}' is supported)"
+            ))
+        }
+    }
+
     /// Parse the next line's value as one `T`.
     pub fn scalar<T: std::str::FromStr>(&mut self, name: &str) -> Result<T, String> {
         let raw = self.field(name)?;
@@ -365,10 +379,8 @@ mod tests {
 
     #[test]
     fn atomic_save_leaves_no_temp_file_and_loads_back() {
-        let path = std::env::temp_dir().join(format!(
-            "adawave_artifact_atomic_{}.awa",
-            std::process::id()
-        ));
+        let scratch = crate::ScratchDir::new("adawave-artifact");
+        let path = scratch.join("atomic.awa");
         let kind = ArtifactKind::Accumulator;
         save_artifact_atomic(&path, kind, "adawave", "dims 1\n").unwrap();
         let mut tmp = path.as_os_str().to_owned();
@@ -383,7 +395,6 @@ mod tests {
         // The wrong kind refuses the file instead of misreading it.
         let err = load_artifact(&path, ArtifactKind::Model).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
-        std::fs::remove_file(&path).ok();
         assert!(matches!(
             load_artifact(Path::new("/definitely/not/here.awa"), kind),
             Err(ArtifactError::Io { .. })

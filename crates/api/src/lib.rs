@@ -33,6 +33,8 @@
 //!   constructors of boxed [`Clusterer`]s; `adawave-core` and
 //!   `adawave-baselines` register themselves into it, and the umbrella
 //!   `adawave` crate assembles the standard registry of all 15 algorithms.
+//! * [`ScratchDir`] — the one way the workspace makes temp paths: a
+//!   per-process, per-call unique directory removed on drop.
 //!
 //! ```
 //! use adawave_api::{
@@ -107,6 +109,7 @@ pub mod model;
 pub mod params;
 pub mod points;
 pub mod registry;
+pub mod scratch;
 
 pub use artifact::{
     decode_artifact, encode_artifact, f64_from_hex, f64_to_hex, load_artifact, save_artifact,
@@ -115,9 +118,10 @@ pub use artifact::{
 pub use clusterer::{closest_matches, validate_fit_input, ClusterError, Clusterer};
 pub use clustering::Clustering;
 pub use model::{compact_remap, validate_predict_input, FitOutcome, Model, PredictSupport};
-pub use params::{AlgorithmSpec, Params, Precision};
+pub use params::{AlgorithmSpec, Params};
 pub use points::{PointMatrix, PointsView, Rows};
 pub use registry::{AlgorithmEntry, AlgorithmRegistry, ParamSpec};
+pub use scratch::ScratchDir;
 
 /// Convenience alias for results in this API.
 pub type Result<T> = std::result::Result<T, ClusterError>;

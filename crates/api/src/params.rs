@@ -110,45 +110,6 @@ impl std::fmt::Display for Params {
     }
 }
 
-/// Numeric lane selection for an algorithm's floating-point kernels.
-///
-/// The default [`F64`](Precision::F64) lane is the reference: its results
-/// are bit-for-bit reproducible across releases and thread counts. The
-/// opt-in [`F32`](Precision::F32) lane narrows the hot quantization loops
-/// to single precision (roughly doubling the useful SIMD width) at the
-/// cost of ~7 decimal digits; it is deterministic — same inputs, same
-/// cells, every run and every thread count — but *not* comparable bit-wise
-/// to the f64 lane. Parsed from the string values `"f64"` / `"f32"`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Precision {
-    /// Double precision: the bit-exact reference lane (default).
-    #[default]
-    F64,
-    /// Single precision: the opt-in throughput lane.
-    F32,
-}
-
-impl std::str::FromStr for Precision {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "f64" | "double" => Ok(Self::F64),
-            "f32" | "single" => Ok(Self::F32),
-            other => Err(format!("unknown precision {other:?} (expected f64 or f32)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Precision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::F64 => "f64",
-            Self::F32 => "f32",
-        })
-    }
-}
-
 /// A fully-specified algorithm invocation: a registry key plus parameters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AlgorithmSpec {
@@ -273,24 +234,6 @@ mod tests {
         assert_eq!(p.get("k"), Some("3"));
         assert_eq!(p.get("scale"), None);
         assert_eq!(p.get("eps"), None);
-    }
-
-    #[test]
-    fn precision_parses_and_round_trips() {
-        assert_eq!("f64".parse::<Precision>().unwrap(), Precision::F64);
-        assert_eq!("F32".parse::<Precision>().unwrap(), Precision::F32);
-        assert_eq!(" double ".parse::<Precision>().unwrap(), Precision::F64);
-        assert!("f16".parse::<Precision>().is_err());
-        assert_eq!(Precision::default(), Precision::F64);
-        for p in [Precision::F64, Precision::F32] {
-            assert_eq!(p.to_string().parse::<Precision>().unwrap(), p);
-        }
-        let mut params = Params::new();
-        params.set("precision", Precision::F32);
-        assert_eq!(
-            params.get_or("precision", Precision::F64).unwrap(),
-            Precision::F32
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   lints never fire inside either, and that marks `#[cfg(test)]` items
 //!   so test code is exempt.
 //! * [`workspace`] — a `Cargo.toml` member walker that enumerates the
-//!   non-vendor crates and their `src/` sources.
+//!   non-vendor crates, their `src/` sources and their test-only sources.
 //! * [`lints`] — the lint table and per-file checks, plus the
 //!   `// audit:allow(lint-name) <reason>` escape mechanism (itself
 //!   linted: reasons are mandatory and unused allows are reported).
@@ -44,9 +44,22 @@ use std::path::Path;
 /// Findings come back sorted by file, line, then lint name, ready to
 /// print. Fails only on I/O or manifest-shape problems.
 pub fn audit_workspace(root: &Path, filter: Option<&[&str]>) -> Result<Vec<Finding>, String> {
+    // Test-only sources get the test-isolation lints only (narrowed
+    // further by the caller's filter).
+    let test_filter: Vec<&str> = lints::TEST_CODE_LINTS
+        .iter()
+        .copied()
+        .filter(|l| filter.is_none_or(|f| f.contains(l)))
+        .collect();
     let mut findings = Vec::new();
     for member in members(root)? {
-        for source in &member.sources {
+        let scoped = member.sources.iter().map(|s| (s, filter)).chain(
+            member
+                .test_sources
+                .iter()
+                .map(|s| (s, Some(&test_filter[..]))),
+        );
+        for (source, filter) in scoped {
             let path = root.join(source);
             let text = std::fs::read_to_string(&path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;

@@ -46,6 +46,15 @@ const REQUEST_PATH: &[(&str, &str)] = &[
     ("adawave-api", "src/artifact.rs"),
 ];
 
+/// The one module allowed to call `temp_dir()`: the shared
+/// [`ScratchDir`](adawave_api::ScratchDir) helper every other site uses.
+const SCRATCH_MODULE: (&str, &str) = ("adawave-api", "src/scratch.rs");
+
+/// Lints that also run over test-only sources (`tests/`, `examples/`,
+/// `benches/`) and inside `#[cfg(test)]` items: the contracts they
+/// enforce are about test isolation, not shipped behaviour.
+pub const TEST_CODE_LINTS: &[&str] = &["temp-path"];
+
 /// The name findings about the escape mechanism itself are filed under.
 pub const ESCAPE_LINT: &str = "audit-escape";
 
@@ -98,6 +107,13 @@ pub const LINTS: &[Lint] = &[
         summary: "Instant::now/SystemTime in a result-producing crate",
         contract: "determinism: clock reads in result-producing code make output \
                    time-dependent; timing belongs in bench/cli layers",
+    },
+    Lint {
+        name: "temp-path",
+        summary: "std::env::temp_dir() outside adawave_api::ScratchDir (test code included)",
+        contract: "test isolation: hand-built temp paths collide between parallel test threads \
+                   and processes; ScratchDir hands every caller a unique directory and removes \
+                   it on drop",
     },
     Lint {
         name: "crate-hygiene",
@@ -206,6 +222,11 @@ pub fn audit_file(
             &mut raw,
         );
     }
+    if enabled("temp-path")
+        && (crate_name, rel_path) != (SCRATCH_MODULE.0, Path::new(SCRATCH_MODULE.1))
+    {
+        temp_path(&lexed, display_path, &mut raw);
+    }
     if enabled("crate-hygiene") && rel_path == Path::new("src/lib.rs") {
         for attr in ["#![deny(unsafe_code)]", "#![deny(missing_docs)]"] {
             if !lexed.stripped.contains(attr) {
@@ -220,8 +241,9 @@ pub fn audit_file(
     }
 
     // Lints never fire inside #[cfg(test)] items: test code legitimately
-    // unwraps, spawns threads, and reads clocks.
-    raw.retain(|f| !lexed.is_test_line(f.line));
+    // unwraps, spawns threads, and reads clocks. The test-isolation lints
+    // are the exception — test code is what they are about.
+    raw.retain(|f| TEST_CODE_LINTS.contains(&f.lint) || !lexed.is_test_line(f.line));
 
     apply_escapes(&lexed, display_path, raw)
 }
@@ -448,6 +470,29 @@ fn pattern_lint(
                     message: message.to_string(),
                 });
             }
+        }
+    }
+}
+
+/// A call of `temp_dir` (`std::env::temp_dir()`, `env::temp_dir ()`, or
+/// an imported `temp_dir()`).
+fn temp_path(lexed: &LexedFile, display_path: &str, out: &mut Vec<Finding>) {
+    let text = lexed.stripped.as_bytes();
+    let mut search = 0usize;
+    while let Some(pos) = lexed.stripped[search..].find("temp_dir") {
+        let pos = search + pos;
+        search = pos + "temp_dir".len();
+        if word_bounded(text, pos, "temp_dir".len())
+            && text.get(skip_ws(text, search)) == Some(&b'(')
+        {
+            out.push(Finding {
+                file: display_path.to_string(),
+                line: lexed.line_of(pos),
+                lint: "temp-path",
+                message: "hand-built temp path; use adawave_api::ScratchDir, whose directory \
+                          is unique per process and per call and is removed on drop"
+                    .to_string(),
+            });
         }
     }
 }

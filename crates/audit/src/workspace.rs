@@ -1,5 +1,5 @@
 //! Workspace discovery: find the root `Cargo.toml`, enumerate member
-//! crates, and collect each member's non-test Rust sources.
+//! crates, and collect each member's shipped and test-only Rust sources.
 //!
 //! The walker is deliberately minimal — it reads the `members = [...]`
 //! array of the workspace manifest and each member's `name = "..."` line
@@ -16,11 +16,14 @@ pub struct Crate {
     /// Member directory relative to the workspace root (e.g. `crates/grid`).
     pub rel_dir: PathBuf,
     /// The member's `.rs` sources under `src/`, relative to the workspace
-    /// root, sorted for deterministic diagnostics. Integration tests
-    /// (`tests/`), benches, and examples are intentionally excluded: the
-    /// contracts the lints enforce are about shipped code, and test code
-    /// uses `unwrap` legitimately.
+    /// root, sorted for deterministic diagnostics.
     pub sources: Vec<PathBuf>,
+    /// The member's test-only sources under `tests/`, `examples/` and
+    /// `benches/` (fixture directories excluded), same form. Only the
+    /// [test-isolation lints](crate::lints::TEST_CODE_LINTS) run over
+    /// them: most contracts are about shipped code, and test code uses
+    /// `unwrap` legitimately.
+    pub test_sources: Vec<PathBuf>,
 }
 
 /// Find the workspace root at or above `start`: the nearest ancestor whose
@@ -67,18 +70,13 @@ pub fn members(root: &Path) -> Result<Vec<Crate>, String> {
             .map_err(|e| format!("cannot read {}: {e}", member_manifest.display()))?;
         let name = package_name(&text)
             .ok_or_else(|| format!("no package name in {}", member_manifest.display()))?;
-        let src_dir = root.join(&rel_dir).join("src");
-        let mut sources = Vec::new();
-        collect_rs(&src_dir, &mut sources)?;
-        sources.sort();
-        let sources = sources
-            .into_iter()
-            .filter_map(|p| p.strip_prefix(root).ok().map(Path::to_path_buf))
-            .collect();
+        let sources = collect_sources(root, &rel_dir, &["src"])?;
+        let test_sources = collect_sources(root, &rel_dir, &["tests", "examples", "benches"])?;
         crates.push(Crate {
             name,
             rel_dir,
             sources,
+            test_sources,
         });
     }
     crates.sort_by(|a, b| a.name.cmp(&b.name));
@@ -141,7 +139,21 @@ fn package_name(manifest: &str) -> Option<String> {
     None
 }
 
-/// Recursively collect `.rs` files under `dir`.
+/// The sorted, root-relative `.rs` files under the member's `subdirs`.
+fn collect_sources(root: &Path, rel_dir: &Path, subdirs: &[&str]) -> Result<Vec<PathBuf>, String> {
+    let mut sources = Vec::new();
+    for sub in subdirs {
+        collect_rs(&root.join(rel_dir).join(sub), &mut sources)?;
+    }
+    sources.sort();
+    Ok(sources
+        .into_iter()
+        .filter_map(|p| p.strip_prefix(root).ok().map(Path::to_path_buf))
+        .collect())
+}
+
+/// Recursively collect `.rs` files under `dir`, skipping `fixtures`
+/// directories (known-bad inputs for tests, not code).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = match std::fs::read_dir(dir) {
         Ok(entries) => entries,
@@ -152,7 +164,9 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
         let entry = entry.map_err(|e| format!("cannot walk {}: {e}", dir.display()))?;
         let path = entry.path();
         if path.is_dir() {
-            collect_rs(&path, out)?;
+            if path.file_name().is_some_and(|n| n != "fixtures") {
+                collect_rs(&path, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -171,7 +185,7 @@ mod tests {
 members = [
     "crates/api",   # the API crate
     "crates/grid",
-    "vendor/criterion",
+    "vendor/proptest",
 ]
 "#;
         let dirs = member_dirs(manifest);
@@ -180,7 +194,7 @@ members = [
             vec![
                 PathBuf::from("crates/api"),
                 PathBuf::from("crates/grid"),
-                PathBuf::from("vendor/criterion")
+                PathBuf::from("vendor/proptest")
             ]
         );
         let inline = member_dirs(r#"members = ["a", "b"]"#);
@@ -202,10 +216,19 @@ members = [
         assert!(crates.iter().any(|c| c.name == "adawave-audit"));
         assert!(crates.iter().any(|c| c.name == "adawave-grid"));
         // vendor stand-ins are excluded from the audit.
-        assert!(!crates.iter().any(|c| c.name == "criterion"));
+        assert!(!crates.iter().any(|c| c.name == "proptest"));
+        // Integration tests are collected, their fixtures are not.
+        let audit = crates.iter().find(|c| c.name == "adawave-audit").unwrap();
+        assert!(audit
+            .test_sources
+            .contains(&PathBuf::from("crates/audit/tests/audit.rs")));
+        assert!(!audit
+            .test_sources
+            .iter()
+            .any(|s| s.components().any(|c| c.as_os_str() == "fixtures")));
         // Every listed source exists and is a file under the root.
         for c in &crates {
-            for s in &c.sources {
+            for s in c.sources.iter().chain(&c.test_sources) {
                 assert!(root.join(s).is_file(), "{}", s.display());
             }
         }

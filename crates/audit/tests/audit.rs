@@ -35,7 +35,9 @@ fn every_lint_fires_at_the_planted_line() {
             4,
             "nondeterministic-iteration",
         ),
+        ("grid/src/bad_temp.rs".into(), 6, "temp-path"),
         ("grid/src/bad_thread.rs".into(), 2, "raw-thread"),
+        ("grid/tests/bad_temp.rs".into(), 5, "temp-path"),
         ("serve/src/json.rs".into(), 2, "panic-in-request-path"),
         ("serve/src/lib.rs".into(), 1, "crate-hygiene"),
         ("serve/src/lib.rs".into(), 1, "crate-hygiene"),

@@ -1,14 +1,11 @@
 //! Raw-speed kernel microbenchmarks: what the shared autovectorized
-//! distance/argmin kernels, the f32 quantization lane, the cell-grid /
-//! kd-index neighbor acceleration and the contiguous wavelet-lane fast
-//! path buy over the scalar paths they replaced.
+//! distance/argmin kernels and the kd-index neighbor acceleration buy
+//! over the scalar paths they replaced.
 //!
 //! Every timed claim is gated by an in-process parity assertion against an
 //! embedded copy of the pre-optimization reference implementation: the
-//! f64 kernels must be *bit-identical* to their scalar references, the
-//! accelerated neighbor paths label-identical, and the opt-in f32 lane is
-//! held to its own documented contract (deterministic, near-total cell
-//! agreement with f64) rather than to bitwise equality.
+//! f64 kernels must be *bit-identical* to their scalar references and the
+//! accelerated neighbor paths label-identical.
 //!
 //! Run with `cargo run --release -p adawave-bench --bin kernel_bench`
 //! (writes `BENCH_kernels.json` into the current directory); pass
@@ -17,14 +14,12 @@
 
 use std::time::Instant;
 
-use adawave_api::{Model as _, PointsView, Precision};
+use adawave_api::{Model as _, PointsView};
 use adawave_baselines::{dbscan, KdTree, NearestTrainingModel};
 use adawave_core::{AdaWave, AdaWaveConfig};
 use adawave_data::synthetic::synthetic_benchmark;
-use adawave_grid::{BoundingBox, Quantizer};
 use adawave_linalg::{nearest_row, squared_distance};
 use adawave_runtime::Runtime;
-use adawave_wavelet::{dwt1d_lowpass, BoundaryMode, DenseGrid, Wavelet};
 
 const REPEATS: usize = 7;
 
@@ -190,57 +185,7 @@ fn main() {
         });
     }
 
-    // ---- kernel 3: f32 quantization lane ---------------------------------
-    // The opt-in single-precision lane replaces the per-coordinate f64
-    // division with a precomputed f32 multiply. It is not bit-comparable
-    // to f64 (by contract); parity = deterministic + near-total cell
-    // agreement away from cell boundaries.
-    {
-        let bounds = BoundingBox::from_points(points).expect("finite workload");
-        let quantizer = Quantizer::with_bounds(bounds, &[128, 128]).expect("fits in 128 bits");
-        let (_, keys64) = quantizer.quantize_with(points, Runtime::sequential());
-        let (grid_a, keys32) = quantizer.quantize_f32_with(points, Runtime::sequential());
-        let (grid_b, keys32_par) = quantizer.quantize_f32_with(points, Runtime::with_threads(4));
-        assert_eq!(grid_a, grid_b, "f32 lane not thread-count deterministic");
-        assert_eq!(
-            keys32, keys32_par,
-            "f32 lane not thread-count deterministic"
-        );
-        let disagreements = keys64
-            .iter()
-            .zip(keys32.iter())
-            .filter(|(a, b)| a != b)
-            .count();
-        assert!(
-            disagreements * 1000 < n,
-            "f32 lane disagrees with f64 on {disagreements}/{n} cells"
-        );
-        // Time the per-point cell-key kernel itself (the part the lane
-        // changes); the surrounding sparse-grid accumulation is identical
-        // in both lanes and would only dilute the ratio.
-        let lane = quantizer.f32_lane();
-        let ref_seconds = best_of(repeats, || {
-            points
-                .rows()
-                .map(|p| quantizer.cell_key(p) as usize)
-                .fold(0usize, usize::wrapping_add)
-        });
-        let new_seconds = best_of(repeats, || {
-            points
-                .rows()
-                .map(|p| quantizer.cell_key_f32(&lane, p) as usize)
-                .fold(0usize, usize::wrapping_add)
-        });
-        rows.push(Row {
-            kernel: "quantize-cell-key-f32-lane",
-            reference: "f64 lane (per-coordinate division)",
-            ref_seconds,
-            new_seconds,
-            parity: "thread-count deterministic; <0.1% boundary cells differ from f64",
-        });
-    }
-
-    // ---- kernel 4: radius neighbor queries -------------------------------
+    // ---- kernel 3: radius neighbor queries -------------------------------
     // The scalar path behind every O(n) neighborhood scan vs the kd-tree
     // the accelerated meanshift/sync/DBSCAN/spectral paths query.
     {
@@ -285,7 +230,7 @@ fn main() {
         });
     }
 
-    // ---- kernel 5: cached kd-index serving -------------------------------
+    // ---- kernel 4: cached kd-index serving -------------------------------
     // Pre-PR, `NearestTrainingModel::predict_one` (and the meanshift
     // model) rebuilt a kd-tree per query; the index is now built once at
     // fit/load time.
@@ -331,85 +276,20 @@ fn main() {
         });
     }
 
-    // ---- kernel 6: contiguous wavelet lanes ------------------------------
-    // The dense transform's innermost axis now hands the 1-D kernel a
-    // direct slice instead of gathering each lane through the stride.
-    {
-        let side = if smoke { 128 } else { 512 };
-        let mut grid = DenseGrid::zeros(&[side, side]);
-        let mut x = 0.37f64;
-        for v in grid.as_mut_slice() {
-            x = (x * 97.0 + 0.31).fract();
-            *v = x;
-        }
-        let kernel = Wavelet::Cdf22.density_smoothing_kernel();
-        let mode = BoundaryMode::Zero;
-        let reference = || {
-            // The pre-PR lane walk: gather each (already contiguous) lane
-            // into a scratch buffer, transform, scatter element-wise.
-            let new_len = side.div_ceil(2);
-            let mut out = DenseGrid::zeros(&[side, new_len]);
-            let data = grid.as_slice();
-            let mut lane = vec![0.0; side];
-            for row in 0..side {
-                let start = row * side;
-                for (k, v) in lane.iter_mut().enumerate() {
-                    *v = data[start + k];
-                }
-                let transformed = dwt1d_lowpass(&lane, &kernel, mode);
-                let out_start = row * new_len;
-                for (k, &v) in transformed.iter().enumerate() {
-                    out.as_mut_slice()[out_start + k] = v;
-                }
-            }
-            out
-        };
-        let optimized = || grid.lowpass_axis(1, &kernel, mode);
-        let (a, b) = (reference(), optimized());
-        assert_eq!(a.shape(), b.shape());
-        for (x, y) in a.as_slice().iter().zip(b.as_slice().iter()) {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "wavelet fast path not bit-identical"
-            );
-        }
-        let ref_seconds = best_of(repeats, || reference().len());
-        let new_seconds = best_of(repeats, || optimized().len());
-        rows.push(Row {
-            kernel: "wavelet-lowpass-contiguous-lane",
-            reference: "per-lane gather + element-wise scatter",
-            ref_seconds,
-            new_seconds,
-            parity: "bit-identical coefficients on a 512x512 grid",
-        });
-    }
-
     // ---- end-to-end sanity: the fixed-chunk determinism contract ----------
-    // Not timed: a full f64 fit at several thread counts must agree with
-    // the sequential fit bit for bit, and the f32 fit must agree with
-    // itself — the bench fails loudly if a kernel change broke either.
+    // Not timed: a full fit at several thread counts must agree with the
+    // sequential fit bit for bit — the bench fails loudly if a kernel
+    // change broke that.
     {
-        let config = |p: Precision, rt: Runtime| {
-            AdaWaveConfig::builder()
-                .scale(64)
-                .precision(p)
-                .runtime(rt)
-                .build()
-        };
-        for precision in [Precision::F64, Precision::F32] {
-            let reference = AdaWave::new(config(precision, Runtime::sequential()))
+        let config = |rt: Runtime| AdaWaveConfig::builder().scale(64).runtime(rt).build();
+        let reference = AdaWave::new(config(Runtime::sequential()))
+            .fit(points)
+            .expect("fit");
+        for threads in [2, 4] {
+            let parallel = AdaWave::new(config(Runtime::with_threads(threads)))
                 .fit(points)
                 .expect("fit");
-            for threads in [2, 4] {
-                let parallel = AdaWave::new(config(precision, Runtime::with_threads(threads)))
-                    .fit(points)
-                    .expect("fit");
-                assert_eq!(
-                    reference, parallel,
-                    "{precision}: thread count changed the fit"
-                );
-            }
+            assert_eq!(reference, parallel, "thread count changed the fit");
         }
     }
 
@@ -435,9 +315,9 @@ fn main() {
         "  \"workload\": {{ \"points\": {n}, \"dims\": 2, \"noise_percent\": 75.0, \"seed\": 42, \"repeats\": {repeats}, \"timing\": \"best-of\", \"smoke\": {smoke} }},\n"
     ));
     json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"single-core container; every kernel here is timed sequentially, so the ratios transfer but absolute times are host-dependent\" }},\n"
+        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"every kernel here is timed sequentially, so the ratios transfer but absolute times are host-dependent\" }},\n"
     ));
-    json.push_str("  \"claim\": \"each optimized kernel is timed against an embedded copy of the scalar path it replaced, and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references, accelerated neighbor paths are label-identical, and the opt-in f32 lane is deterministic across thread counts with near-total cell agreement\",\n");
+    json.push_str("  \"claim\": \"each optimized kernel is timed against an embedded copy of the scalar path it replaced, and a parity assertion gates every timed claim: f64 kernels are bit-identical to their references and accelerated neighbor paths are label-identical\",\n");
     json.push_str("  \"kernels\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

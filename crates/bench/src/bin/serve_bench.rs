@@ -26,6 +26,7 @@ use adawave::serve::Client;
 use adawave::{
     model_loader, save_model, standard_registry, AlgorithmSpec, ModelStore, ServeConfig, Server,
 };
+use adawave_api::ScratchDir;
 use adawave_bench::report::format_table;
 use adawave_data::synthetic::synthetic_benchmark;
 
@@ -61,7 +62,7 @@ fn main() {
 
     // Train, persist, and keep the in-process models for the parity gate.
     let registry = standard_registry();
-    let dir = std::env::temp_dir();
+    let scratch = ScratchDir::new("adawave-serve-bench");
     let mut served: Vec<(&'static str, std::path::PathBuf, Box<dyn adawave::Model>)> = Vec::new();
     for (algorithm, spec) in [
         ("adawave", AlgorithmSpec::new("adawave")),
@@ -71,10 +72,7 @@ fn main() {
         ),
     ] {
         let outcome = registry.fit_model(&spec, points).expect(algorithm);
-        let path = dir.join(format!(
-            "adawave_serve_bench_{algorithm}_{}.awm",
-            std::process::id()
-        ));
+        let path = scratch.join(format!("{algorithm}.awm"));
         save_model(&path, outcome.model.as_ref()).expect(algorithm);
         served.push((algorithm, path, outcome.model));
     }
@@ -206,9 +204,6 @@ fn main() {
 
     server.shutdown();
     server.join();
-    for (_, path, _) in &served {
-        std::fs::remove_file(path).ok();
-    }
 
     let table: Vec<Vec<String>> = rows
         .iter()

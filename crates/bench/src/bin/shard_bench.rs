@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use adawave_api::PointsView;
+use adawave_api::{PointsView, ScratchDir};
 use adawave_bench::report::format_table;
 use adawave_core::{AdaWave, AdaWaveConfig};
 use adawave_data::synthetic::synthetic_benchmark;
@@ -173,8 +173,8 @@ fn main() {
     // with an every-N checkpointer vs the same ingest without one.
     let config = AdaWaveConfig::default();
     let every = if smoke { 1_000 } else { 10_000 };
-    let ckpt_path =
-        std::env::temp_dir().join(format!("adawave_shard_bench_{}.awa", std::process::id()));
+    let scratch = ScratchDir::new("adawave-shard-bench");
+    let ckpt_path = scratch.join("checkpoint.awa");
     let mut plain_seconds = f64::MAX;
     let mut checkpointed_seconds = f64::MAX;
     for _ in 0..repeats {
@@ -186,7 +186,6 @@ fn main() {
             Some((&ckpt_path, every)),
         ));
     }
-    std::fs::remove_file(&ckpt_path).ok();
     let overhead_per_row = (checkpointed_seconds - plain_seconds).max(0.0) / total as f64;
 
     let table: Vec<Vec<String>> = rows
@@ -231,7 +230,7 @@ fn main() {
         "  \"workload\": {{ \"points\": {total}, \"dims\": {dims}, \"noise_percent\": 75.0, \"seed\": 42, \"batch_rows\": {BATCH_ROWS}, \"repeats\": {repeats}, \"timing\": \"best-of\", \"smoke\": {smoke} }},\n",
     ));
     json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"same single-core container caveat as BENCH_parallel.json: these are single-process serialization/merge costs; the distributed win (k shard processes ingesting concurrently) cannot show a wall-clock speedup on a one-core host\" }},\n",
+        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"single-core container caveat: these are single-process serialization/merge costs; the distributed win (k shard processes ingesting concurrently) cannot show a wall-clock speedup on a one-core host\" }},\n",
     ));
     json.push_str("  \"claim\": \"accumulator artifacts cost O(m) to snapshot, restore and merge for m occupied cells (plus the per-point cell-key table), independent of how many points were ingested; checkpointing adds a bounded per-row overhead amortized over the flush interval\",\n");
     json.push_str("  \"parity\": \"asserted in-process before timing at every scale: snapshot->restore->refit and half-shard snapshot->restore->merge->refit both equal the one-shot AdaWave::fit labels exactly\",\n");

@@ -61,7 +61,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (per_cluster, repeats) = if smoke { (250, 2) } else { (5_000, 5) };
     // 5 clusters x per_cluster points + 75% noise (100_000 points in the
-    // full run — the workload of BENCH_layout.json / BENCH_parallel.json).
+    // full run).
     let ds = synthetic_benchmark(75.0, per_cluster, 42);
     let points = ds.view();
     let dims = points.dims();
@@ -152,7 +152,7 @@ fn main() {
         config.scale,
     ));
     json.push_str(&format!(
-        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"same single-core container caveat as BENCH_parallel.json: ingest parallelism cannot show speedup on a one-core host; the refit-vs-fit scaling below is thread-count independent\" }},\n",
+        "  \"host\": {{ \"available_parallelism\": {host_cpus}, \"note\": \"single-core container caveat: ingest parallelism cannot show speedup on a one-core host; the refit-vs-fit scaling below is thread-count independent\" }},\n",
     ));
     json.push_str("  \"claim\": \"refit_model re-runs transform->threshold->components on the accumulated grid: its cost tracks the occupied cells m (which saturates on a bounded domain), not the total ingested points n; the full fit must re-quantize all n points. refit additionally pays an O(n) per-point label lookup.\",\n");
     json.push_str("  \"determinism\": \"asserted in-process at every size: refit() labels, stats and density curve are identical to AdaWave::fit on the same prefix and domain\",\n");

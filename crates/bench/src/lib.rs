@@ -3,13 +3,12 @@
 //! Experiment harness for the AdaWave reproduction: a uniform way to run
 //! every algorithm on every dataset of the paper, plus one experiment
 //! function per table and figure of the evaluation section. The
-//! `experiments` binary prints the same rows/series the paper reports;
-//! the Criterion benches in `benches/` measure the runtime-oriented
-//! figures.
+//! `experiments` binary prints the same rows/series the paper reports,
+//! the runtime-oriented figures (Fig. 10) included.
 //!
-//! The `layout_bench` and `parallel_bench` binaries additionally measure
-//! the data-layout and multi-threading speedups of the hot kernels,
-//! writing `BENCH_layout.json` / `BENCH_parallel.json`.
+//! End-to-end timing with a per-stage breakdown, thread scaling included,
+//! lives in the separate `perfbench/` package; the `*_bench` binaries
+//! here are parity-gated microbenchmarks of individual subsystems.
 //!
 //! ```
 //! use adawave_bench::report::format_table;

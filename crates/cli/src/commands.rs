@@ -1501,6 +1501,7 @@ pub fn list_algorithms() -> String {
 mod tests {
     use super::*;
     use adawave::PointMatrix;
+    use adawave_api::ScratchDir;
     use adawave_data::shapes;
     use adawave_data::Rng;
 
@@ -1566,6 +1567,11 @@ mod tests {
         let err = run_clustering("kmeans", points.view(), &args, 2).unwrap_err();
         assert!(err.to_string().contains("kk"), "{err}");
         assert!(err.to_string().contains("seed"), "{err}");
+        // ...`precision` among them (quantization is f64-only)...
+        let args = ParsedArgs::parse(["cluster", "--param", "precision=f32"]).unwrap();
+        let err = run_clustering("adawave", points.view(), &args, 2).unwrap_err();
+        assert!(err.to_string().contains("precision"), "{err}");
+        assert!(err.to_string().contains("scale"), "{err}");
         // ...as is a malformed pair and a bad value.
         let args = ParsedArgs::parse(["cluster", "--param", "k"]).unwrap();
         assert!(run_clustering("kmeans", points.view(), &args, 2).is_err());
@@ -1655,17 +1661,23 @@ mod tests {
         assert_eq!(outcome.noise_points, 0);
     }
 
-    fn save_temp_dataset(name: &str, points: &PointMatrix, truth: &[usize]) -> std::path::PathBuf {
+    fn save_temp_dataset(
+        scratch: &ScratchDir,
+        name: &str,
+        points: &PointMatrix,
+        truth: &[usize],
+    ) -> std::path::PathBuf {
         let ds = Dataset::new(name, points.clone(), truth.to_vec(), None);
-        let path = std::env::temp_dir().join(format!("{name}.csv"));
+        let path = scratch.join(format!("{name}.csv"));
         csv::save_csv(&ds, &path).unwrap();
         path
     }
 
     #[test]
     fn stream_with_prescan_matches_the_one_shot_cluster_command() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let path = save_temp_dataset("adawave_cli_stream_prescan", &points, &truth);
+        let path = save_temp_dataset(&scratch, "adawave_cli_stream_prescan", &points, &truth);
 
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "32"]).unwrap())
@@ -1680,11 +1692,11 @@ mod tests {
         let one_shot = run_clustering("adawave", points.view(), &args, 2).unwrap();
         assert_eq!(outcome.labels, one_shot.labels);
         assert_eq!(outcome.clusters, one_shot.clusters);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn stream_without_prescan_freezes_on_the_first_batch_and_counts_outliers() {
+        let scratch = ScratchDir::new("adawave-cli");
         // First two rows span [0,1]^2; the last row is far outside and must
         // be reported as an outlier (= noise), not clamped into the grid.
         let points = PointMatrix::from_rows(vec![
@@ -1694,21 +1706,26 @@ mod tests {
             vec![9.0, 9.0],
         ])
         .unwrap();
-        let path = save_temp_dataset("adawave_cli_stream_outliers", &points, &[0, 0, 0, 0]);
+        let path = save_temp_dataset(
+            &scratch,
+            "adawave_cli_stream_outliers",
+            &points,
+            &[0, 0, 0, 0],
+        );
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "8"]).unwrap())
                 .unwrap();
         let outcome = run_stream(&path, 2, false, config).unwrap();
         assert_eq!(outcome.outliers, 1);
         assert_eq!(outcome.labels[3], NOISE_LABEL);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn stream_prescan_tolerates_non_finite_rows_as_outliers() {
+        let scratch = ScratchDir::new("adawave-cli");
         // A NaN row must be an outlier under --prescan too (the prescan
         // unions finite-row boxes), not a fatal error.
-        let path = std::env::temp_dir().join("adawave_cli_stream_nan.csv");
+        let path = scratch.join("adawave_cli_stream_nan.csv");
         std::fs::write(&path, "nan,0.5,0\n0.0,0.0,0\n1.0,1.0,0\n0.5,0.5,0\n").unwrap();
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "8"]).unwrap())
@@ -1723,14 +1740,14 @@ mod tests {
             assert_eq!(outcome.labels[0], NOISE_LABEL, "prescan = {prescan}");
             assert_eq!(outcome.points, 4, "prescan = {prescan}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn stream_dispatch_reports_and_writes_labels() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let path = save_temp_dataset("adawave_cli_stream_dispatch", &points, &truth);
-        let out = std::env::temp_dir().join("adawave_cli_stream_dispatch_labels.csv");
+        let path = save_temp_dataset(&scratch, "adawave_cli_stream_dispatch", &points, &truth);
+        let out = scratch.join("adawave_cli_stream_dispatch_labels.csv");
         let report = dispatch(
             &ParsedArgs::parse([
                 "stream",
@@ -1752,8 +1769,6 @@ mod tests {
         assert!(report.contains("AMI"), "{report}");
         let labels = labels_from_text(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(labels.len(), points.len());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]
@@ -1792,14 +1807,15 @@ mod tests {
 
     #[test]
     fn predict_with_train_reproduces_cluster_labels() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let train = save_temp_dataset("adawave_cli_predict_train", &points, &truth);
+        let train = save_temp_dataset(&scratch, "adawave_cli_predict_train", &points, &truth);
         // Fit labels via `cluster`...
         let args = ParsedArgs::parse(["cluster", "--scale", "32"]).unwrap();
         let fit = run_clustering("adawave", points.view(), &args, 2).unwrap();
         // ...and via `predict --train` on the same file: the model predicts
         // the training batch identically.
-        let out = std::env::temp_dir().join("adawave_cli_predict_labels.csv");
+        let out = scratch.join("adawave_cli_predict_labels.csv");
         let report = dispatch(
             &ParsedArgs::parse([
                 "predict",
@@ -1836,17 +1852,16 @@ mod tests {
         assert!(!plain_report.contains("model:"), "{plain_report}");
         let predicted = labels_from_text(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(predicted, fit.labels);
-        std::fs::remove_file(&train).ok();
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]
     fn save_model_then_predict_round_trips_label_identically() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let train = save_temp_dataset("adawave_cli_save_model", &points, &truth);
-        let model_path = std::env::temp_dir().join("adawave_cli_model.awm");
-        let fit_out = std::env::temp_dir().join("adawave_cli_fit_labels.csv");
-        let pred_out = std::env::temp_dir().join("adawave_cli_pred_labels.csv");
+        let train = save_temp_dataset(&scratch, "adawave_cli_save_model", &points, &truth);
+        let model_path = scratch.join("adawave_cli_model.awm");
+        let fit_out = scratch.join("adawave_cli_fit_labels.csv");
+        let pred_out = scratch.join("adawave_cli_pred_labels.csv");
         for algo in ["adawave", "kmeans"] {
             let report = dispatch(
                 &ParsedArgs::parse([
@@ -1891,20 +1906,18 @@ mod tests {
                 "{algo}"
             );
         }
-        for p in [&train, &model_path, &fit_out, &pred_out] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
     fn save_model_covers_fallback_algorithms() {
+        let scratch = ScratchDir::new("adawave-cli");
         // dbscan persists via the nearest-training fallback payload: the
         // saved file predicts the training set label-identically.
         let (points, truth) = toy_points();
-        let train = save_temp_dataset("adawave_cli_save_fallback", &points, &truth);
-        let model_path = std::env::temp_dir().join("adawave_cli_fallback.awm");
-        let fit_out = std::env::temp_dir().join("adawave_cli_fallback_fit.csv");
-        let pred_out = std::env::temp_dir().join("adawave_cli_fallback_pred.csv");
+        let train = save_temp_dataset(&scratch, "adawave_cli_save_fallback", &points, &truth);
+        let model_path = scratch.join("adawave_cli_fallback.awm");
+        let fit_out = scratch.join("adawave_cli_fallback_fit.csv");
+        let pred_out = scratch.join("adawave_cli_fallback_pred.csv");
         let report = dispatch(
             &ParsedArgs::parse([
                 "cluster",
@@ -1942,9 +1955,6 @@ mod tests {
             std::fs::read_to_string(&fit_out).unwrap(),
             std::fs::read_to_string(&pred_out).unwrap(),
         );
-        for p in [&train, &model_path, &fit_out, &pred_out] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
@@ -1975,8 +1985,9 @@ mod tests {
 
     #[test]
     fn output_flag_replaces_stdout_with_labels_across_commands() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let path = save_temp_dataset("adawave_cli_output_flag", &points, &truth);
+        let path = save_temp_dataset(&scratch, "adawave_cli_output_flag", &points, &truth);
         // cluster --output csv: stdout IS the label listing.
         let text = dispatch(
             &ParsedArgs::parse([
@@ -2015,7 +2026,7 @@ mod tests {
         );
         // With --out as well, the labels go to the file and stdout keeps
         // the summary.
-        let out = std::env::temp_dir().join("adawave_cli_output_flag_labels.json");
+        let out = scratch.join("adawave_cli_output_flag_labels.json");
         let report = dispatch(
             &ParsedArgs::parse([
                 "predict",
@@ -2037,8 +2048,6 @@ mod tests {
         assert!(report.contains("predict (adawave)"), "{report}");
         let doc = std::fs::read_to_string(&out).unwrap();
         assert!(doc.contains("\"labels\""), "{doc}");
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&out).ok();
     }
 
     #[test]
@@ -2146,10 +2155,11 @@ mod tests {
 
     #[test]
     fn serve_answers_batch_predictions_identical_to_the_predict_command() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let train = save_temp_dataset("adawave_cli_serve", &points, &truth);
-        let model_path = std::env::temp_dir().join("adawave_cli_serve.awm");
-        let labels_path = std::env::temp_dir().join("adawave_cli_serve_labels.csv");
+        let train = save_temp_dataset(&scratch, "adawave_cli_serve", &points, &truth);
+        let model_path = scratch.join("adawave_cli_serve.awm");
+        let labels_path = scratch.join("adawave_cli_serve_labels.csv");
         dispatch(
             &ParsedArgs::parse([
                 "cluster",
@@ -2218,16 +2228,14 @@ mod tests {
 
         server.shutdown();
         server.join();
-        for p in [&train, &model_path, &labels_path] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
     fn serve_banner_includes_summaries_only_with_verbose() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let train = save_temp_dataset("adawave_cli_serve_verbose", &points, &truth);
-        let model_path = std::env::temp_dir().join("adawave_cli_serve_verbose.awm");
+        let train = save_temp_dataset(&scratch, "adawave_cli_serve_verbose", &points, &truth);
+        let model_path = scratch.join("adawave_cli_serve_verbose.awm");
         dispatch(
             &ParsedArgs::parse([
                 "cluster",
@@ -2268,9 +2276,6 @@ mod tests {
         assert!(banner.contains(&model.summary()), "{banner}");
         server.shutdown();
         server.join();
-        for p in [&train, &model_path] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
@@ -2288,15 +2293,17 @@ mod tests {
         assert!(err.to_string().contains("loading model 'x'"), "{err}");
     }
 
-    fn save_temp_script(name: &str, source: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(format!("{name}.adw"));
+    fn save_temp_script(scratch: &ScratchDir, name: &str, source: &str) -> std::path::PathBuf {
+        let path = scratch.join(format!("{name}.adw"));
         std::fs::write(&path, source).unwrap();
         path
     }
 
     #[test]
     fn script_runs_a_file_and_reports_per_plan() {
+        let scratch = ScratchDir::new("adawave-cli");
         let path = save_temp_script(
+            &scratch,
             "adawave_cli_script_pass",
             "marker $$kmeans on blobs$$\n\
              generate blobs n=200 k=2 seed=7\n\
@@ -2308,13 +2315,14 @@ mod tests {
             .unwrap_or_else(|e| panic!("{e}"));
         assert!(out.contains("plan \"kmeans on blobs\" .. ok"), "{out}");
         assert!(out.contains("1 plan: 1 passed, 0 failed"), "{out}");
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn script_list_is_a_dry_run_over_plan_titles() {
+        let scratch = ScratchDir::new("adawave-cli");
         // The dataset below doesn't exist: --list must not execute steps.
         let path = save_temp_script(
+            &scratch,
             "adawave_cli_script_list",
             "marker $$first$$\n\
              load \"no-such-file.csv\"\n\
@@ -2333,7 +2341,6 @@ mod tests {
             assert!(out.contains("2 plan(s)"), "{out}");
             assert!(out.contains("first") && out.contains("second"), "{out}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2382,6 +2389,7 @@ mod tests {
 
     #[test]
     fn script_failures_and_usage_map_to_exit_codes() {
+        let scratch = ScratchDir::new("adawave-cli");
         // No files: usage error, exit code 2.
         let err = dispatch(&ParsedArgs::parse(["script"]).unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 2);
@@ -2401,6 +2409,7 @@ mod tests {
 
         // A parse error carries the 1-based line number: exit code 1.
         let path = save_temp_script(
+            &scratch,
             "adawave_cli_script_parse_error",
             "marker $$broken$$\ngenerate blobs n=100\nfrobnicate the grid\n",
         );
@@ -2408,10 +2417,10 @@ mod tests {
             dispatch(&ParsedArgs::parse(["script", path.to_str().unwrap()]).unwrap()).unwrap_err();
         assert_eq!(err.exit_code(), 1);
         assert!(err.to_string().contains("line 3"), "{err}");
-        std::fs::remove_file(&path).ok();
 
         // A failing assertion: exit code 1, report names the line.
         let path = save_temp_script(
+            &scratch,
             "adawave_cli_script_assert_fail",
             "marker $$fails$$\n\
              generate blobs n=100 k=2 seed=7\n\
@@ -2423,7 +2432,6 @@ mod tests {
         assert_eq!(err.exit_code(), 1);
         assert!(err.to_string().contains("FAILED at line 4"), "{err}");
         assert!(err.to_string().contains("1 of 1 script(s) failed"), "{err}");
-        std::fs::remove_file(&path).ok();
 
         // A missing file: exit code 1.
         let err = dispatch(&ParsedArgs::parse(["script", "/definitely/not/here.adw"]).unwrap())
@@ -2449,9 +2457,10 @@ mod tests {
 
     #[test]
     fn shard_ingest_and_merge_match_the_one_shot_cluster_command() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let data = save_temp_dataset("adawave_cli_shard_merge", &points, &truth);
-        let dir = std::env::temp_dir();
+        let data = save_temp_dataset(&scratch, "adawave_cli_shard_merge", &points, &truth);
+        let dir = scratch.path();
         let fit_out = dir.join("adawave_cli_shard_fit.csv");
         dispatch(
             &ParsedArgs::parse([
@@ -2536,23 +2545,15 @@ mod tests {
                 std::fs::read_to_string(&fit_out).unwrap(),
                 "{shards} shard(s)"
             );
-            for f in files {
-                std::fs::remove_file(f).ok();
-            }
-            for f in [&merged_out, &model_path, &pred_out] {
-                std::fs::remove_file(f).ok();
-            }
         }
-        std::fs::remove_file(&data).ok();
-        std::fs::remove_file(&fit_out).ok();
     }
 
     #[test]
     fn stream_checkpoint_resumes_and_reproduces_the_labels() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let data = save_temp_dataset("adawave_cli_stream_ckpt", &points, &truth);
-        let ckpt = std::env::temp_dir().join("adawave_cli_stream_ckpt.awa");
-        std::fs::remove_file(&ckpt).ok();
+        let data = save_temp_dataset(&scratch, "adawave_cli_stream_ckpt", &points, &truth);
+        let ckpt = scratch.join("adawave_cli_stream_ckpt.awa");
         let config =
             adawave_config_from_args(&ParsedArgs::parse(["stream", "--scale", "32"]).unwrap())
                 .unwrap();
@@ -2591,17 +2592,14 @@ mod tests {
         let err = run_stream_checkpointed(&data, 64, true, other, Some(&spec)).unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
         assert!(err.to_string().contains(ckpt.to_str().unwrap()), "{err}");
-
-        std::fs::remove_file(&data).ok();
-        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
     fn stream_checkpoint_flags_report_resume_and_validate() {
+        let scratch = ScratchDir::new("adawave-cli");
         let (points, truth) = toy_points();
-        let data = save_temp_dataset("adawave_cli_ckpt_flags", &points, &truth);
-        let ckpt = std::env::temp_dir().join("adawave_cli_ckpt_flags.awa");
-        std::fs::remove_file(&ckpt).ok();
+        let data = save_temp_dataset(&scratch, "adawave_cli_ckpt_flags", &points, &truth);
+        let ckpt = scratch.join("adawave_cli_ckpt_flags.awa");
         let argv = [
             "stream",
             "--input",
@@ -2639,12 +2637,11 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
         assert!(err.to_string().contains("--checkpoint"), "{err}");
-        std::fs::remove_file(&data).ok();
-        std::fs::remove_file(&ckpt).ok();
     }
 
     #[test]
     fn shard_and_merge_reject_bad_arguments_and_name_paths() {
+        let scratch = ScratchDir::new("adawave-cli");
         // Bad shard specs: exit 2 before any file is touched.
         for spec in ["0/3", "4/3", "banana", "1/0", "1"] {
             let err = dispatch(
@@ -2678,7 +2675,7 @@ mod tests {
         );
 
         let (points, truth) = toy_points();
-        let data = save_temp_dataset("adawave_cli_shard_badout", &points, &truth);
+        let data = save_temp_dataset(&scratch, "adawave_cli_shard_badout", &points, &truth);
         // An unwritable --out names the path too.
         let err = dispatch(
             &ParsedArgs::parse([
@@ -2703,7 +2700,7 @@ mod tests {
 
         // Shards written under different configurations refuse to merge,
         // and the error names the offending input file.
-        let dir = std::env::temp_dir();
+        let dir = scratch.path();
         let a = dir.join("adawave_cli_merge_mismatch_a.awa");
         let b = dir.join("adawave_cli_merge_mismatch_b.awa");
         for (path, shard, scale) in [(&a, "1/2", "32"), (&b, "2/2", "16")] {
@@ -2736,8 +2733,5 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.exit_code(), 1);
         assert!(err.to_string().contains(b.to_str().unwrap()), "{err}");
-        for p in [&data, &a, &b] {
-            std::fs::remove_file(p).ok();
-        }
     }
 }

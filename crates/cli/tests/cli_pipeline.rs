@@ -2,33 +2,13 @@
 //! exercising the same code paths as the binary but through the library so
 //! no subprocess is needed.
 
-use std::path::PathBuf;
-
+use adawave_api::ScratchDir;
 use adawave_cli::args::ParsedArgs;
 use adawave_cli::commands::dispatch;
 
-/// A scratch directory unique to this test run, removed on drop.
-struct ScratchDir {
-    path: PathBuf,
-}
-
-impl ScratchDir {
-    fn new(tag: &str) -> Self {
-        let path =
-            std::env::temp_dir().join(format!("adawave-cli-test-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&path).expect("create scratch dir");
-        Self { path }
-    }
-
-    fn file(&self, name: &str) -> String {
-        self.path.join(name).to_string_lossy().into_owned()
-    }
-}
-
-impl Drop for ScratchDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.path);
-    }
+/// `name` inside the scratch directory, as a command-line operand.
+fn file(dir: &ScratchDir, name: &str) -> String {
+    dir.join(name).to_string_lossy().into_owned()
 }
 
 fn run(args: &[&str]) -> String {
@@ -38,9 +18,9 @@ fn run(args: &[&str]) -> String {
 
 #[test]
 fn generate_cluster_evaluate_round_trip() {
-    let dir = ScratchDir::new("roundtrip");
-    let data = dir.file("synthetic.csv");
-    let labels = dir.file("labels.csv");
+    let dir = ScratchDir::new("adawave-cli-test-roundtrip");
+    let data = file(&dir, "synthetic.csv");
+    let labels = file(&dir, "labels.csv");
 
     // 1. generate a small synthetic dataset at 60% noise.
     let report = run(&[
@@ -104,8 +84,8 @@ fn generate_cluster_evaluate_round_trip() {
 
 #[test]
 fn cluster_with_a_baseline_and_reassign_noise() {
-    let dir = ScratchDir::new("baseline");
-    let data = dir.file("blobs.csv");
+    let dir = ScratchDir::new("adawave-cli-test-baseline");
+    let data = file(&dir, "blobs.csv");
     run(&[
         "generate",
         "--dataset",
@@ -119,7 +99,7 @@ fn cluster_with_a_baseline_and_reassign_noise() {
         "--out",
         &data,
     ]);
-    let labels = dir.file("kmeans.csv");
+    let labels = file(&dir, "kmeans.csv");
     let report = run(&[
         "cluster",
         "--input",
@@ -158,10 +138,10 @@ fn sweep_command_prints_a_table() {
 
 #[test]
 fn evaluate_rejects_mismatched_label_counts() {
-    let dir = ScratchDir::new("mismatch");
-    let data = dir.file("data.csv");
+    let dir = ScratchDir::new("adawave-cli-test-mismatch");
+    let data = file(&dir, "data.csv");
     run(&["generate", "--dataset", "iris", "--out", &data]);
-    let labels = dir.file("short.csv");
+    let labels = file(&dir, "short.csv");
     std::fs::write(&labels, "0\n1\n").unwrap();
     let parsed = ParsedArgs::parse([
         "evaluate",

@@ -57,8 +57,7 @@ impl AdaWave {
     ) -> Result<(AdaWaveResult, crate::AdaWaveModel)> {
         let (quantizer, model, assignment) = self.fit_parts(points)?;
         let remap = crate::model::assignment_remap(&assignment, model.cluster_count());
-        let serving =
-            crate::AdaWaveModel::from_parts(quantizer, &model, &remap, self.config.precision);
+        let serving = crate::AdaWaveModel::from_parts(quantizer, &model, &remap);
         Ok((model.into_result(assignment), serving))
     }
 
@@ -78,15 +77,10 @@ impl AdaWave {
             });
         }
 
-        // Step 1: quantization into the sparse grid-labeling structure,
-        // through the configured numeric lane (f64 is the bit-exact
-        // reference; f32 is the opt-in throughput lane).
+        // Step 1: quantization into the sparse grid-labeling structure.
         let bounds = BoundingBox::from_points(points)?;
         let quantizer = self.quantizer_for(&bounds)?;
-        let (grid, assignment) = match self.config.precision {
-            adawave_api::Precision::F64 => quantizer.quantize_with(points, self.config.runtime),
-            adawave_api::Precision::F32 => quantizer.quantize_f32_with(points, self.config.runtime),
-        };
+        let (grid, assignment) = quantizer.quantize_with(points, self.config.runtime);
         let lookup = LookupTable::new(quantizer.codec().clone(), assignment);
 
         // Steps 2-4: the reusable grid → cluster-model stage.
@@ -419,33 +413,6 @@ mod tests {
             adawave.fit(points.view()).unwrap(),
             adawave.fit(points.view()).unwrap()
         );
-    }
-
-    #[test]
-    fn f32_lane_is_deterministic_across_thread_counts() {
-        // The f32 lane gives up bit-comparability with f64, but inside
-        // itself it keeps the workspace determinism contract: identical
-        // clusterings for every thread count.
-        use adawave_api::Precision;
-        use adawave_runtime::Runtime;
-        let (points, _) = blobs_with_noise(3000, 6000, 43);
-        let config = |rt: Runtime| {
-            AdaWaveConfig::builder()
-                .scale(64)
-                .precision(Precision::F32)
-                .runtime(rt)
-                .build()
-        };
-        let reference = AdaWave::new(config(Runtime::sequential()))
-            .fit(points.view())
-            .unwrap();
-        assert!(reference.cluster_count() >= 2);
-        for threads in [1, 2, 4, 8] {
-            let parallel = AdaWave::new(config(Runtime::with_threads(threads)))
-                .fit(points.view())
-                .unwrap();
-            assert_eq!(reference, parallel, "threads = {threads}");
-        }
     }
 
     #[test]

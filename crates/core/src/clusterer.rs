@@ -3,7 +3,7 @@
 
 use adawave_api::{
     AlgorithmRegistry, ClusterError, Clusterer, Clustering, FitOutcome, ParamSpec, Params,
-    PointsView, Precision, PredictSupport,
+    PointsView, PredictSupport,
 };
 use adawave_wavelet::Wavelet;
 
@@ -67,16 +67,6 @@ impl AdaWaveConfig {
             .scale(params.get_or("scale", 128)?)
             .levels(params.get_or("levels", 1)?)
             .threads(params.get_or("threads", 0)?);
-        if let Some(raw) = params.get("precision") {
-            let precision: Precision =
-                raw.parse()
-                    .map_err(|_: String| ClusterError::InvalidParam {
-                        param: "precision".to_string(),
-                        value: raw.to_string(),
-                        expected: "f64 (bit-exact reference) or f32 (throughput lane)".to_string(),
-                    })?;
-            builder = builder.precision(precision);
-        }
         if let Some(name) = params.get("wavelet") {
             let wavelet = Wavelet::from_name(name).ok_or_else(|| ClusterError::InvalidParam {
                 param: "wavelet".to_string(),
@@ -120,12 +110,6 @@ pub fn register(registry: &mut AlgorithmRegistry) {
                 "name",
                 "three-segment",
                 "three-segment, elbow, kneedle, quantile:<f> or fixed:<f>",
-            ),
-            ParamSpec::new(
-                "precision",
-                "name",
-                "f64",
-                "numeric lane: f64 (bit-exact reference) or f32 (opt-in throughput lane)",
             ),
             ParamSpec::THREADS,
         ],
@@ -174,14 +158,12 @@ mod tests {
             .set("scale", 64)
             .set("wavelet", "haar")
             .set("levels", 2)
-            .set("threshold", "quantile:0.25")
-            .set("precision", "f32");
+            .set("threshold", "quantile:0.25");
         let config = AdaWaveConfig::from_params(&params).unwrap();
         assert_eq!(config.scale, 64);
         assert_eq!(config.wavelet, Wavelet::Haar);
         assert_eq!(config.levels, 2);
         assert_eq!(config.threshold, ThresholdStrategy::Quantile(0.25));
-        assert_eq!(config.precision, Precision::F32);
     }
 
     #[test]
@@ -198,12 +180,6 @@ mod tests {
         let mut params = Params::new();
         params.set("scale", "-3");
         assert!(AdaWaveConfig::from_params(&params).is_err());
-        let mut params = Params::new();
-        params.set("precision", "f16");
-        assert!(matches!(
-            AdaWaveConfig::from_params(&params),
-            Err(ClusterError::InvalidParam { ref param, .. }) if param == "precision"
-        ));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! decomposition level, adaptive elbow threshold), and the defaults are what
 //! every experiment uses unless an ablation says otherwise.
 
-use adawave_api::Precision;
 use adawave_grid::Connectivity;
 use adawave_runtime::Runtime;
 use adawave_wavelet::{BoundaryMode, Wavelet};
@@ -48,11 +47,6 @@ pub struct AdaWaveConfig {
     /// Worker pool for the quantization pass (the per-point hot path of
     /// the pipeline). The clustering is identical for every thread count.
     pub runtime: Runtime,
-    /// Numeric lane for the per-point quantization kernels. The default
-    /// [`Precision::F64`] lane is bit-for-bit reproducible across releases;
-    /// the opt-in [`Precision::F32`] lane trades that contract for speed
-    /// while staying deterministic across runs and thread counts.
-    pub precision: Precision,
 }
 
 impl Default for AdaWaveConfig {
@@ -69,7 +63,6 @@ impl Default for AdaWaveConfig {
             auto_reduce_scale: true,
             max_transformed_cells: 1_000_000,
             runtime: Runtime::from_env(),
-            precision: Precision::F64,
         }
     }
 }
@@ -171,14 +164,6 @@ impl AdaWaveConfigBuilder {
         self
     }
 
-    /// Select the numeric lane for the quantization kernels (default
-    /// [`Precision::F64`]; `F32` opts into the faster single-precision
-    /// lane).
-    pub fn precision(mut self, precision: Precision) -> Self {
-        self.config.precision = precision;
-        self
-    }
-
     /// Finish building.
     pub fn build(self) -> AdaWaveConfig {
         self.config
@@ -198,13 +183,6 @@ mod tests {
         assert_eq!(c.connectivity, Connectivity::Face);
         assert!(c.auto_reduce_scale);
         assert_eq!(c.max_transformed_cells, 1_000_000);
-        assert_eq!(c.precision, Precision::F64);
-    }
-
-    #[test]
-    fn builder_selects_precision_lane() {
-        let c = AdaWaveConfig::builder().precision(Precision::F32).build();
-        assert_eq!(c.precision, Precision::F32);
     }
 
     #[test]

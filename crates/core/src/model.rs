@@ -10,10 +10,15 @@
 
 use std::collections::HashMap;
 
-use adawave_api::{compact_remap, f64_to_hex, Model, PayloadReader, Precision};
-use adawave_grid::{BoundingBox, F32Lane, KeyCodec, Quantizer};
+use adawave_api::{compact_remap, f64_to_hex, Model, PayloadReader};
+use adawave_grid::{BoundingBox, KeyCodec, Quantizer};
 
 use crate::adawave::GridModel;
+
+/// The payload's `precision` line. Every model quantizes in `f64`; the
+/// line stays so payloads written by earlier releases load unchanged, and
+/// any other value is rejected by name.
+const PRECISION: &str = "f64";
 
 /// A trained AdaWave model: the frozen quantization domain plus the
 /// cell → cluster table of the transformed space.
@@ -50,47 +55,26 @@ pub struct AdaWaveModel {
     /// Transformed-space cell key → cluster id (training numbering).
     cells: HashMap<u128, usize>,
     cluster_count: usize,
-    /// Numeric lane the model was fitted with; predictions quantize
-    /// through the same lane so serving matches training cell for cell.
-    precision: Precision,
-    /// Precomputed f32 quantization state, present exactly when
-    /// `precision == F32` (built at fit/load time, not per query).
-    lane: Option<F32Lane>,
 }
 
 impl AdaWaveModel {
     /// Build a serving model from a fitted grid model over the given
     /// original-space quantizer. `remap` maps the grid's component ids to
     /// the training clustering's ids (see [`compact_remap`]); pass the
-    /// identity to keep raw component ids. `precision` must be the lane
-    /// the grid was quantized with, so serving and training agree on cell
-    /// boundaries.
-    pub fn from_parts(
-        quantizer: Quantizer,
-        grid_model: &GridModel,
-        remap: &[usize],
-        precision: Precision,
-    ) -> Self {
+    /// identity to keep raw component ids.
+    pub fn from_parts(quantizer: Quantizer, grid_model: &GridModel, remap: &[usize]) -> Self {
         let cells = grid_model
             .labels()
             .iter()
             .map(|(key, id)| (key, remap.get(id).copied().unwrap_or(id)))
             .collect();
-        let lane = lane_for(&quantizer, precision);
         Self {
             quantizer,
             levels: grid_model.levels(),
             down_codec: grid_model.codec().clone(),
             cells,
             cluster_count: grid_model.cluster_count(),
-            precision,
-            lane,
         }
-    }
-
-    /// The numeric lane the model quantizes queries through.
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The frozen quantization domain.
@@ -116,7 +100,7 @@ impl AdaWaveModel {
         let intervals: Vec<u32> = reader.list("intervals", dims)?;
         let down_intervals: Vec<u32> = reader.list("down-intervals", dims)?;
         let levels: u32 = reader.scalar("levels")?;
-        let precision: Precision = reader.scalar("precision")?;
+        reader.constant("precision", PRECISION)?;
         let cluster_count: usize = reader.scalar("clusters")?;
         let min = reader.float_list("min", dims)?;
         let max = reader.float_list("max", dims)?;
@@ -136,25 +120,13 @@ impl AdaWaveModel {
             .map_err(|e| format!("bad quantizer: {e}"))?;
         let down_codec =
             KeyCodec::new(&down_intervals).map_err(|e| format!("bad down codec: {e}"))?;
-        let lane = lane_for(&quantizer, precision);
         Ok(Self {
             quantizer,
             levels,
             down_codec,
             cells,
             cluster_count,
-            precision,
-            lane,
         })
-    }
-}
-
-/// The precomputed f32 lane for a quantizer, present exactly when the
-/// model's precision selects it.
-fn lane_for(quantizer: &Quantizer, precision: Precision) -> Option<F32Lane> {
-    match precision {
-        Precision::F64 => None,
-        Precision::F32 => Some(quantizer.f32_lane()),
     }
 }
 
@@ -182,13 +154,8 @@ impl Model for AdaWaveModel {
         // Allocation-free downsampling: stream each coordinate out of the
         // original-space key, shift it through the decomposition levels
         // (saturating past 31, matching the fit path) and pack it straight
-        // into the transformed-space key. The key is computed through the
-        // same numeric lane as training, so serving never straddles a cell
-        // boundary the fit did not.
-        let key = match &self.lane {
-            None => self.quantizer.cell_key(point),
-            Some(lane) => self.quantizer.cell_key_f32(lane, point),
-        };
+        // into the transformed-space key.
+        let key = self.quantizer.cell_key(point);
         let codec = self.quantizer.codec();
         let mut down_key = 0u128;
         for j in 0..codec.dims() {
@@ -227,7 +194,7 @@ impl Model for AdaWaveModel {
             join_display(self.down_codec.all_intervals())
         ));
         out.push_str(&format!("levels {}\n", self.levels));
-        out.push_str(&format!("precision {}\n", self.precision));
+        out.push_str(&format!("precision {PRECISION}\n"));
         out.push_str(&format!("clusters {}\n", self.cluster_count));
         out.push_str(&format!("min {}\n", join_hex(bounds.min())));
         out.push_str(&format!("max {}\n", join_hex(bounds.max())));
@@ -326,36 +293,6 @@ mod tests {
         );
         // Deterministic payload: serializing the loaded model is identical.
         assert_eq!(loaded.serialize().unwrap(), payload);
-    }
-
-    #[test]
-    fn f32_lane_fits_serves_and_round_trips() {
-        let points = noisy_blobs(11);
-        let adawave = AdaWave::new(
-            AdaWaveConfig::builder()
-                .scale(64)
-                .precision(Precision::F32)
-                .build(),
-        );
-        let (result, model) = adawave.fit_with_model(points.view()).unwrap();
-        assert_eq!(model.precision(), Precision::F32);
-        // The blobs still separate through the single-precision lane.
-        assert!(result.cluster_count() >= 2, "{}", result.cluster_count());
-        // Serving quantizes through the same lane as training, so training
-        // points reproduce their fit labels exactly.
-        assert_eq!(
-            model.predict(points.view()).unwrap(),
-            result.to_clustering()
-        );
-        // Persistence preserves the lane and the predictions.
-        let payload = model.serialize().unwrap();
-        assert!(payload.contains("precision f32"), "{payload}");
-        let loaded = AdaWaveModel::deserialize(&payload).unwrap();
-        assert_eq!(loaded.precision(), Precision::F32);
-        assert_eq!(
-            loaded.predict(points.view()).unwrap(),
-            result.to_clustering()
-        );
     }
 
     #[test]

@@ -222,6 +222,7 @@ pub fn save_csv(dataset: &Dataset, path: &Path) -> Result<(), CsvError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adawave_api::ScratchDir;
 
     #[test]
     fn parse_basic_csv() {
@@ -254,11 +255,10 @@ mod tests {
             vec![1, 0],
             None,
         );
-        let dir = std::env::temp_dir();
-        let path = dir.join("adawave_csv_roundtrip_test.csv");
+        let scratch = ScratchDir::new("adawave-csv");
+        let path = scratch.join("roundtrip.csv");
         save_csv(&ds, &path).unwrap();
         let loaded = load_csv(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         assert_eq!(loaded.points, ds.points);
         assert_eq!(loaded.labels, ds.labels);
     }
@@ -269,20 +269,21 @@ mod tests {
         assert!(ds.is_empty());
     }
 
-    fn write_temp(name: &str, text: &str) -> std::path::PathBuf {
-        let path = std::env::temp_dir().join(name);
+    fn write_temp(scratch: &ScratchDir, name: &str, text: &str) -> std::path::PathBuf {
+        let path = scratch.join(name);
         std::fs::write(&path, text).unwrap();
         path
     }
 
     #[test]
     fn batches_cover_the_file_in_order_and_match_the_one_shot_parse() {
+        let scratch = ScratchDir::new("adawave-csv");
         let mut text = String::from("# header comment\n");
         for i in 0..25 {
             text.push_str(&format!("{}.5,{},{}\n", i, i * 2, i % 3));
         }
         text.push('\n');
-        let path = write_temp("adawave_csv_batches_test.csv", &text);
+        let path = write_temp(&scratch, "adawave_csv_batches_test.csv", &text);
         let whole = load_csv(&path).unwrap();
 
         let mut rebuilt: Option<Dataset> = None;
@@ -298,7 +299,6 @@ mod tests {
                 }
             }
         }
-        std::fs::remove_file(&path).ok();
         assert_eq!(batch_sizes, vec![7, 7, 7, 4]);
         let rebuilt = rebuilt.unwrap();
         assert_eq!(rebuilt.points, whole.points);
@@ -307,7 +307,9 @@ mod tests {
 
     #[test]
     fn batches_surface_parse_errors_and_stop() {
+        let scratch = ScratchDir::new("adawave-csv");
         let path = write_temp(
+            &scratch,
             "adawave_csv_batches_error_test.csv",
             "1.0,2.0,0\n1.0,1\nnever,reached,0\n",
         );
@@ -317,27 +319,31 @@ mod tests {
         assert!(err.to_string().contains("line 2"), "{err}");
         // ...and iteration ends instead of resynchronizing mid-file.
         assert!(batches.next().is_none());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn batches_enforce_arity_across_batch_boundaries() {
+        let scratch = ScratchDir::new("adawave-csv");
         // 2 features in the first batch, 3 in the second: rejected even
         // though each batch alone would be self-consistent.
         let path = write_temp(
+            &scratch,
             "adawave_csv_batches_arity_test.csv",
             "1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,7.0,1\n",
         );
         let mut batches = CsvBatches::open(&path, 2).unwrap();
         assert!(batches.next().unwrap().is_ok());
         assert!(batches.next().unwrap().is_err());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn batches_of_an_empty_file_yield_nothing() {
-        let path = write_temp("adawave_csv_batches_empty_test.csv", "# only a comment\n");
+        let scratch = ScratchDir::new("adawave-csv");
+        let path = write_temp(
+            &scratch,
+            "adawave_csv_batches_empty_test.csv",
+            "# only a comment\n",
+        );
         assert!(CsvBatches::open(&path, 4).unwrap().next().is_none());
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -56,7 +56,7 @@ pub use components::{connected_components, ComponentLabels, UnionFind};
 pub use key::KeyCodec;
 pub use lookup::LookupTable;
 pub use neighbors::Connectivity;
-pub use quantizer::{F32Lane, Quantizer};
+pub use quantizer::Quantizer;
 pub use sparse::SparseGrid;
 
 /// Errors produced by grid construction.

@@ -11,17 +11,6 @@ use crate::{BoundingBox, GridError, KeyCodec, Result, SparseGrid};
 /// merged result — are identical for every [`Runtime`].
 const QUANTIZE_CHUNK_ROWS: usize = 8_192;
 
-/// Precomputed state for the opt-in single-precision quantization lane:
-/// per-dimension lower bounds and inverse interval widths, both narrowed
-/// to `f32`. Built once per quantizer by [`Quantizer::f32_lane`] and reused
-/// across every point (and every serving query) so the hot loop is a
-/// subtract, a multiply, and a floor per coordinate.
-#[derive(Debug, Clone)]
-pub struct F32Lane {
-    mins: Vec<f32>,
-    inv_widths: Vec<f32>,
-}
-
 /// Maps points to grid cells.
 ///
 /// The feature-space domain `B_j` of every dimension is divided into
@@ -167,106 +156,12 @@ impl Quantizer {
         Ok(Self { bounds, codec })
     }
 
-    /// Precompute the opt-in single-precision quantization lane.
-    ///
-    /// The f32 lane trades the f64 lane's bit-for-bit contract for speed:
-    /// coordinates are narrowed to `f32` and the per-dimension division is
-    /// replaced by a multiplication with the precomputed inverse interval
-    /// width (a rewrite that is *not* bit-identical in general, which is
-    /// why the default f64 path keeps its division untouched). Within
-    /// itself the lane is fully deterministic: the same inputs produce the
-    /// same cells on every run and every thread count.
-    pub fn f32_lane(&self) -> F32Lane {
-        let dims = self.dims();
-        let mut mins = Vec::with_capacity(dims);
-        let mut inv_widths = Vec::with_capacity(dims);
-        for j in 0..dims {
-            mins.push(self.bounds.min()[j] as f32);
-            let extent = self.bounds.extent(j);
-            inv_widths.push(if extent > 0.0 {
-                (self.codec.intervals(j) as f64 / extent) as f32
-            } else {
-                0.0
-            });
-        }
-        F32Lane { mins, inv_widths }
-    }
-
-    /// Cell index of one coordinate in dimension `j` through the f32 lane.
-    #[inline]
-    fn cell_coord_f32(&self, lane: &F32Lane, j: usize, v: f64) -> u32 {
-        let m = self.codec.intervals(j);
-        let c = ((v as f32 - lane.mins[j]) * lane.inv_widths[j]).floor() as i64;
-        c.clamp(0, (m - 1) as i64) as u32
-    }
-
-    /// Packed cell key of a single point through the f32 lane — the
-    /// single-precision counterpart of [`cell_key`](Self::cell_key).
-    ///
-    /// # Panics
-    /// Panics if the point dimensionality does not match the quantizer.
-    pub fn cell_key_f32(&self, lane: &F32Lane, point: &[f64]) -> u128 {
-        assert_eq!(
-            point.len(),
-            self.dims(),
-            "cell_key_f32: dimensionality mismatch"
-        );
-        point.iter().enumerate().fold(0u128, |key, (j, &v)| {
-            key | self.codec.pack_coord(j, self.cell_coord_f32(lane, j, v))
-        })
-    }
-
     /// Quantize a whole dataset: returns the sparse grid of per-cell counts
     /// and, for every point, the key of the cell it fell into (the lookup
     /// table input for step 6 of Algorithm 1). Runs sequentially; see
     /// [`quantize_with`](Self::quantize_with) for the parallel form.
     pub fn quantize(&self, points: PointsView<'_>) -> (SparseGrid, Vec<u128>) {
         self.quantize_with(points, Runtime::sequential())
-    }
-
-    /// [`quantize_with`](Self::quantize_with) through the opt-in f32 lane:
-    /// same fixed-shard fan-out and shard-order merge, but every cell
-    /// assignment uses [`cell_key_f32`](Self::cell_key_f32). Deterministic
-    /// across thread counts (each point's cell is independent of the
-    /// sharding), but *not* bit-comparable to the f64 lane.
-    pub fn quantize_f32_with(
-        &self,
-        points: PointsView<'_>,
-        runtime: Runtime,
-    ) -> (SparseGrid, Vec<u128>) {
-        let dims = points.dims();
-        let lane = self.f32_lane();
-        if runtime.is_sequential() || dims == 0 || points.len() <= QUANTIZE_CHUNK_ROWS {
-            let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-            let mut assignment = Vec::with_capacity(points.len());
-            for p in points.rows() {
-                let key = self.cell_key_f32(&lane, p);
-                grid.increment(key);
-                assignment.push(key);
-            }
-            return (grid, assignment);
-        }
-        let shards: Vec<(SparseGrid, Vec<u128>)> = runtime.par_chunks(
-            points.as_slice(),
-            QUANTIZE_CHUNK_ROWS * dims,
-            |_, coords| {
-                let mut grid = SparseGrid::with_capacity(QUANTIZE_CHUNK_ROWS.min(1 << 12));
-                let mut keys = Vec::with_capacity(coords.len() / dims);
-                for p in coords.chunks_exact(dims) {
-                    let key = self.cell_key_f32(&lane, p);
-                    grid.increment(key);
-                    keys.push(key);
-                }
-                (grid, keys)
-            },
-        );
-        let mut grid = SparseGrid::with_capacity(points.len().min(1 << 16));
-        let mut assignment = Vec::with_capacity(points.len());
-        for (shard, keys) in shards {
-            grid.merge(&shard);
-            assignment.extend_from_slice(&keys);
-        }
-        (grid, assignment)
     }
 
     /// [`quantize`](Self::quantize) fanned out over `runtime`: the view is
@@ -469,7 +364,7 @@ mod tests {
         assert!(Quantizer::deserialize_from(&mut reader).is_err());
     }
 
-    /// A pseudo-random point cloud large enough to cross the shard size.
+    /// A pseudo-random point cloud.
     fn lcg_points(rows: usize) -> PointMatrix {
         let mut pts = PointMatrix::new(2);
         let mut x = 0.123_f64;
@@ -478,55 +373,5 @@ mod tests {
             pts.push_row(&[x, (x * 13.0).fract()]);
         }
         pts
-    }
-
-    #[test]
-    fn f32_lane_is_deterministic_across_thread_counts() {
-        let pts = lcg_points(20_000);
-        let q = Quantizer::fit(pts.view(), 64).unwrap();
-        let (grid_seq, keys_seq) = q.quantize_f32_with(pts.view(), Runtime::sequential());
-        for threads in [1, 2, 4, 8] {
-            let (grid_par, keys_par) =
-                q.quantize_f32_with(pts.view(), Runtime::with_threads(threads));
-            assert_eq!(grid_seq, grid_par, "threads = {threads}");
-            assert_eq!(keys_seq, keys_par, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn f32_lane_agrees_with_f64_away_from_cell_boundaries() {
-        // The lanes may legitimately disagree for points within an ulp of
-        // a cell boundary; on a grid whose boundaries are well separated
-        // from the sample positions they must agree everywhere.
-        let pts = lcg_points(5_000);
-        let q = Quantizer::fit(pts.view(), 16).unwrap();
-        let lane = q.f32_lane();
-        let (_, keys64) = q.quantize(pts.view());
-        let mut disagreements = 0usize;
-        for (p, &k64) in pts.rows().zip(keys64.iter()) {
-            if q.cell_key_f32(&lane, p) != k64 {
-                disagreements += 1;
-            }
-        }
-        // Boundary-straddling points are possible in principle but must be
-        // vanishingly rare on generic data.
-        assert!(disagreements * 1000 < pts.len(), "{disagreements} of 5000");
-    }
-
-    #[test]
-    fn f32_lane_clamps_and_handles_degenerate_extent() {
-        let pts = matrix(vec![vec![1.0, 5.0], vec![2.0, 5.0], vec![3.0, 5.0]]);
-        let q = Quantizer::fit(pts.view(), 8).unwrap();
-        let lane = q.f32_lane();
-        for p in pts.rows() {
-            // The zero-extent dimension collapses into interval 0 in both
-            // lanes, and every key stays decodable.
-            assert_eq!(q.cell_key_f32(&lane, p), q.cell_key(p));
-        }
-        // Coordinates at the upper bound clamp into the last interval.
-        let square = unit_square_points();
-        let q = Quantizer::fit(square.view(), 4).unwrap();
-        let lane = q.f32_lane();
-        assert_eq!(q.cell_key_f32(&lane, &[1.0, 1.0]), q.cell_key(&[1.0, 1.0]));
     }
 }

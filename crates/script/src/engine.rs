@@ -10,7 +10,9 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use adawave_api::{AlgorithmRegistry, AlgorithmSpec, Clustering, Model, Params, PointsView};
+use adawave_api::{
+    AlgorithmRegistry, AlgorithmSpec, Clustering, Model, Params, PointsView, ScratchDir,
+};
 use adawave_core::AdaWaveConfig;
 use adawave_data::scenes;
 use adawave_data::{csv, Dataset};
@@ -34,7 +36,9 @@ pub struct Engine {
     load_hook: Option<LoadHook>,
     script_dir: PathBuf,
     scratch_dir: PathBuf,
-    scratch_owned: bool,
+    /// The engine-owned scratch directory behind `scratch_dir`, removed
+    /// on drop; `None` once the caller supplies its own directory.
+    owned_scratch: Option<ScratchDir>,
 }
 
 impl Engine {
@@ -44,20 +48,14 @@ impl Engine {
     /// directory defaults to a fresh per-engine subdirectory of the
     /// system temp dir (removed on drop).
     pub fn new(registry: AlgorithmRegistry) -> Self {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let scratch_dir = std::env::temp_dir().join(format!(
-            "adawave-script-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let scratch = ScratchDir::new("adawave-script");
         Engine {
             registry,
             save_hook: None,
             load_hook: None,
             script_dir: PathBuf::from("."),
-            scratch_dir,
-            scratch_owned: true,
+            scratch_dir: scratch.path().to_path_buf(),
+            owned_scratch: Some(scratch),
         }
     }
 
@@ -80,7 +78,7 @@ impl Engine {
     /// cleanup).
     pub fn with_scratch_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.scratch_dir = dir.into();
-        self.scratch_owned = false;
+        self.owned_scratch = None;
         self
     }
 
@@ -127,15 +125,6 @@ impl Engine {
             }
         }
         report
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        if self.scratch_owned {
-            // Best-effort cleanup of the per-engine scratch directory.
-            let _ = std::fs::remove_dir_all(&self.scratch_dir);
-        }
     }
 }
 

@@ -146,6 +146,7 @@ impl ModelStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adawave_api::ScratchDir;
 
     /// A toy one-dimensional threshold model: label 0 below `cut`, 1 at
     /// or above, noise for non-finite input.
@@ -181,9 +182,8 @@ mod tests {
         })
     }
 
-    fn temp_file(name: &str, text: &str) -> PathBuf {
-        let path =
-            std::env::temp_dir().join(format!("adawave_store_{name}_{}", std::process::id()));
+    fn temp_file(scratch: &ScratchDir, name: &str, text: &str) -> PathBuf {
+        let path = scratch.join(name);
         std::fs::write(&path, text).unwrap();
         path
     }
@@ -191,7 +191,8 @@ mod tests {
     #[test]
     fn load_get_and_reload_swap_atomically() {
         let store = ModelStore::new(text_loader());
-        let path = temp_file("swap", "0.5");
+        let scratch = ScratchDir::new("adawave-store");
+        let path = temp_file(&scratch, "swap", "0.5");
         store.load("blobs", &path).unwrap();
         assert_eq!(store.names(), vec!["blobs".to_string()]);
 
@@ -208,20 +209,19 @@ mod tests {
         let after = store.get("blobs").unwrap();
         assert_eq!(after.version, 2);
         assert_eq!(after.model.predict_one(&[0.4]), Some(1));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn failed_reload_keeps_the_old_model_serving() {
         let store = ModelStore::new(text_loader());
-        let path = temp_file("bad_reload", "0.5");
+        let scratch = ScratchDir::new("adawave-store");
+        let path = temp_file(&scratch, "bad_reload", "0.5");
         store.load("blobs", &path).unwrap();
         std::fs::write(&path, "bad").unwrap();
         assert!(store.reload("blobs").is_err());
         let entry = store.get("blobs").unwrap();
         assert_eq!(entry.version, 1);
         assert_eq!(entry.model.predict_one(&[0.9]), Some(1));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

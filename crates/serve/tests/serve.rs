@@ -8,10 +8,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
+use adawave_api::ScratchDir;
 use adawave_serve::{Client, Model, ModelLoader, ModelStore, ServeConfig, Server};
 
 /// Label 0 below the cut, 1 at or above, noise for non-finite input.
@@ -45,15 +46,15 @@ fn threshold_loader() -> ModelLoader {
     })
 }
 
-fn temp_model(name: &str, cut: f64) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("adawave_serve_{name}_{}", std::process::id()));
-    std::fs::write(&path, cut.to_string()).unwrap();
-    path
-}
+/// The threshold model's file inside a test's scratch directory.
+const MODEL_FILE: &str = "cut.model";
 
-/// A daemon on a free port serving one threshold model named `cut`.
-fn start(name: &str, workers: usize) -> (Server, PathBuf) {
-    let path = temp_model(name, 0.5);
+/// A daemon on a free port serving one threshold model named `cut`,
+/// loaded from [`MODEL_FILE`] in the returned scratch directory.
+fn start(tag: &str, workers: usize) -> (Server, ScratchDir) {
+    let scratch = ScratchDir::new(&format!("adawave-serve-{tag}"));
+    let path = scratch.join(MODEL_FILE);
+    std::fs::write(&path, "0.5").unwrap();
     let store = Arc::new(ModelStore::new(threshold_loader()));
     store.load("cut", &path).unwrap();
     let server = Server::start(
@@ -66,7 +67,7 @@ fn start(name: &str, workers: usize) -> (Server, PathBuf) {
         store,
     )
     .unwrap();
-    (server, path)
+    (server, scratch)
 }
 
 fn connect(server: &Server) -> Client {
@@ -75,7 +76,7 @@ fn connect(server: &Server) -> Client {
 
 #[test]
 fn one_keep_alive_connection_carries_every_endpoint() {
-    let (server, path) = start("endpoints", 2);
+    let (server, _scratch) = start("endpoints", 2);
     let mut client = connect(&server);
 
     let health = client.get("/health").unwrap();
@@ -118,14 +119,13 @@ fn one_keep_alive_connection_carries_every_endpoint() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn concurrent_clients_get_byte_identical_responses_to_sequential() {
     // Keep-alive connections pin a worker for their lifetime, so size
     // the pool for the ground-truth connection plus every hammer thread.
-    let (server, path) = start("concurrent", 8);
+    let (server, _scratch) = start("concurrent", 8);
     let requests: Vec<(String, String)> = (0..24)
         .map(|i| {
             let x = i as f64 / 24.0;
@@ -175,13 +175,12 @@ fn concurrent_clients_get_byte_identical_responses_to_sequential() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn hot_reload_under_load_never_mixes_model_versions() {
     // 4 hammer connections + 1 admin connection, each pinning a worker.
-    let (server, path) = start("reload", 6);
+    let (server, scratch) = start("reload", 6);
     let addr = server.local_addr();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
@@ -215,7 +214,7 @@ fn hot_reload_under_load_never_mixes_model_versions() {
 
         // Retrain (rewrite the file) and hot-reload mid-hammering.
         std::thread::sleep(Duration::from_millis(50));
-        std::fs::write(&path, "0.1").unwrap();
+        std::fs::write(scratch.join(MODEL_FILE), "0.1").unwrap();
         let mut admin = Client::connect(addr, Duration::from_secs(5)).unwrap();
         let reload = admin
             .post("/admin/reload/cut", "application/json", "")
@@ -241,12 +240,11 @@ fn hot_reload_under_load_never_mixes_model_versions() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn hostile_bytes_get_a_400_and_a_close_never_a_hang() {
-    let (server, path) = start("hostile", 2);
+    let (server, _scratch) = start("hostile", 2);
     let addr = server.local_addr();
 
     // Raw garbage instead of HTTP.
@@ -274,12 +272,11 @@ fn hostile_bytes_get_a_400_and_a_close_never_a_hang() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn shutdown_stops_accepting_but_answers_queued_work() {
-    let (server, path) = start("shutdown", 2);
+    let (server, _scratch) = start("shutdown", 2);
     let mut client = connect(&server);
     assert_eq!(client.get("/health").unwrap().status, 200);
     server.shutdown();
@@ -288,5 +285,4 @@ fn shutdown_stops_accepting_but_answers_queued_work() {
         Client::connect("127.0.0.1:1".parse().unwrap(), Duration::from_millis(100)).is_err(),
         "sanity: connecting to a dead port errors"
     );
-    std::fs::remove_file(&path).ok();
 }

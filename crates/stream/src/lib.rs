@@ -78,11 +78,11 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
-use adawave_api::{compact_remap, FitOutcome, PointsView, Precision};
+use adawave_api::{compact_remap, FitOutcome, PointsView};
 use adawave_core::{
     cluster_grid, AdaWave, AdaWaveConfig, AdaWaveError, AdaWaveModel, AdaWaveResult, GridModel,
 };
-use adawave_grid::{BoundingBox, F32Lane, Quantizer, SparseGrid};
+use adawave_grid::{BoundingBox, Quantizer, SparseGrid};
 
 pub mod persist;
 
@@ -339,19 +339,12 @@ impl StreamingAdaWave {
 
         let runtime = self.adawave.config().runtime;
         let quantizer = &frozen.quantizer;
-        // The configured numeric lane applies to streaming ingestion too:
-        // the f32 lane state is built once per batch, never per point.
-        let lane = match self.adawave.config().precision {
-            Precision::F64 => None,
-            Precision::F32 => Some(quantizer.f32_lane()),
-        };
-        let lane = lane.as_ref();
         let shards: Vec<(SparseGrid, Vec<Option<u128>>, usize)> =
             if runtime.is_sequential() || batch.len() <= INGEST_CHUNK_ROWS {
-                vec![ingest_shard(quantizer, lane, batch.as_slice(), dims)]
+                vec![ingest_shard(quantizer, batch.as_slice(), dims)]
             } else {
                 runtime.par_chunks(batch.as_slice(), INGEST_CHUNK_ROWS * dims, |_, coords| {
-                    ingest_shard(quantizer, lane, coords, dims)
+                    ingest_shard(quantizer, coords, dims)
                 })
             };
 
@@ -485,12 +478,7 @@ impl StreamingAdaWave {
             assignment.iter().filter_map(|a| *a),
             grid_model.cluster_count(),
         );
-        let serving = AdaWaveModel::from_parts(
-            frozen.quantizer.clone(),
-            &grid_model,
-            &remap,
-            self.adawave.config().precision,
-        );
+        let serving = AdaWaveModel::from_parts(frozen.quantizer.clone(), &grid_model, &remap);
         Ok(FitOutcome {
             clustering: grid_model.into_result(assignment).to_clustering(),
             model: Box::new(serving),
@@ -540,13 +528,9 @@ pub fn finite_bounds(batch: PointsView<'_>) -> Option<BoundingBox> {
 }
 
 /// Quantize one shard of rows: per-shard grid, per-point cell keys
-/// (`None` = out of domain) and the outlier count. `lane` selects the
-/// numeric lane: `None` is the bit-exact f64 path, `Some` the opt-in f32
-/// path (the membership test stays in f64 either way, so the outlier
-/// contract is lane-independent).
+/// (`None` = out of domain) and the outlier count.
 fn ingest_shard(
     quantizer: &Quantizer,
-    lane: Option<&F32Lane>,
     coords: &[f64],
     dims: usize,
 ) -> (SparseGrid, Vec<Option<u128>>, usize) {
@@ -556,10 +540,7 @@ fn ingest_shard(
     let mut outliers = 0;
     for p in coords.chunks_exact(dims) {
         if quantizer.bounds().contains(p) {
-            let key = match lane {
-                None => quantizer.cell_key(p),
-                Some(lane) => quantizer.cell_key_f32(lane, p),
-            };
+            let key = quantizer.cell_key(p);
             grid.increment(key);
             cells.push(Some(key));
         } else {

@@ -128,7 +128,9 @@ fn serialize_config(config: &AdaWaveConfig, out: &mut String) {
         "config-max-transformed-cells {}\n",
         config.max_transformed_cells
     ));
-    out.push_str(&format!("config-precision {}\n", config.precision));
+    // Quantization is f64-only; the line stays so accumulators written by
+    // earlier releases load unchanged.
+    out.push_str("config-precision f64\n");
 }
 
 fn parse_config(reader: &mut PayloadReader<'_>) -> Result<AdaWaveConfig, String> {
@@ -176,7 +178,7 @@ fn parse_config(reader: &mut PayloadReader<'_>) -> Result<AdaWaveConfig, String>
         connectivity_from_name(raw).ok_or_else(|| format!("unknown connectivity '{raw}'"))?;
     config.auto_reduce_scale = reader.scalar("config-auto-reduce-scale")?;
     config.max_transformed_cells = reader.scalar("config-max-transformed-cells")?;
-    config.precision = reader.scalar("config-precision")?;
+    reader.constant("config-precision", "f64")?;
     Ok(config)
 }
 
@@ -383,7 +385,7 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adawave_api::{PointMatrix, Precision};
+    use adawave_api::{PointMatrix, ScratchDir};
     use adawave_core::AdaWaveConfigBuilder;
 
     fn two_blob_points() -> PointMatrix {
@@ -400,10 +402,6 @@ mod tests {
             ]);
         }
         points
-    }
-
-    fn temp_path(name: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("adawave_accum_{name}_{}.awa", std::process::id()))
     }
 
     #[test]
@@ -442,8 +440,7 @@ mod tests {
                 .max_transformed_cells(4096),
             AdaWaveConfig::builder()
                 .scale(16)
-                .threshold(ThresholdStrategy::Quantile(0.1))
-                .precision(Precision::F32),
+                .threshold(ThresholdStrategy::Quantile(0.1)),
             AdaWaveConfig::builder()
                 .scale(16)
                 .boundary(BoundaryMode::Periodic)
@@ -462,6 +459,7 @@ mod tests {
 
     #[test]
     fn restored_sessions_merge_like_the_originals() {
+        let scratch = ScratchDir::new("adawave-accum");
         let points = two_blob_points();
         let config = AdaWaveConfig::builder().scale(32).build();
         let domain = crate::finite_bounds(points.view()).unwrap();
@@ -472,7 +470,7 @@ mod tests {
 
         // Two shards, each through a file.
         let half = points.len() / 2;
-        let (pa, pb) = (temp_path("merge_a"), temp_path("merge_b"));
+        let (pa, pb) = (scratch.join("merge_a.awa"), scratch.join("merge_b.awa"));
         for (path, range) in [(&pa, 0..half), (&pb, half..points.len())] {
             let mut shard = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
             let slice = points.view().select(&range.collect::<Vec<_>>());
@@ -497,17 +495,15 @@ mod tests {
             crate::StreamError::DomainMismatch { .. }
         ));
         assert_eq!(rejected.other.points_ingested(), 1);
-        for p in [pa, pb] {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
     fn checkpoint_resume_reproduces_the_uninterrupted_stream() {
+        let scratch = ScratchDir::new("adawave-accum");
         let points = two_blob_points();
         let config = AdaWaveConfig::builder().scale(32).build();
         let domain = crate::finite_bounds(points.view()).unwrap();
-        let path = temp_path("resume");
+        let path = scratch.join("resume.awa");
 
         // Uninterrupted reference.
         let mut reference = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
@@ -545,7 +541,6 @@ mod tests {
         let finished = load_accumulator(&path).unwrap();
         assert_eq!(finished.grid(), reference.grid());
         assert_eq!(finished.refit().unwrap(), reference.refit().unwrap());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -601,6 +596,11 @@ mod tests {
                 "connectivity",
             ),
             (
+                // Only the f64 quantization lane exists.
+                Box::new(|s: &str| s.replace("config-precision f64", "config-precision f32")),
+                "field 'config-precision'",
+            ),
+            (
                 Box::new(|s: &str| s.replace("outliers 0", "outliers 7")),
                 "outlier count",
             ),
@@ -621,7 +621,8 @@ mod tests {
 
     #[test]
     fn load_rejects_wrong_kind_and_wrong_algorithm() {
-        let path = temp_path("wrongkind");
+        let scratch = ScratchDir::new("adawave-accum");
+        let path = scratch.join("wrongkind.awa");
         // A model file must not load as an accumulator.
         std::fs::write(&path, "adawave-model v1\nalgorithm adawave\ndims 2\n").unwrap();
         let err = load_accumulator(&path).unwrap_err();
@@ -630,6 +631,5 @@ mod tests {
         std::fs::write(&path, "adawave-accumulator v1\nalgorithm kmeans\nx\n").unwrap();
         let err = load_accumulator(&path).unwrap_err();
         assert!(err.to_string().contains("kmeans"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

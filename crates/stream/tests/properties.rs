@@ -4,20 +4,11 @@
 //! must reproduce the one-shot quantized grid and the one-shot labels
 //! exactly, bit for bit.
 
-use adawave_api::{PointMatrix, PointsView};
+use adawave_api::{PointMatrix, PointsView, ScratchDir};
 use adawave_core::{AdaWave, AdaWaveConfig};
 use adawave_grid::{BoundingBox, SparseGrid};
 use adawave_stream::{load_accumulator, save_accumulator, Checkpointer, StreamingAdaWave};
 use proptest::prelude::*;
-
-/// A fresh temp-file path per proptest case, so concurrent cases (and
-/// concurrent test binaries) never collide.
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("adawave_prop_{tag}_{}_{n}.awa", std::process::id()))
-}
 
 fn matrix(coords: &[(f64, f64)]) -> PointMatrix {
     let mut points = PointMatrix::new(2);
@@ -131,7 +122,8 @@ proptest! {
         // Each shard of a random row partition ingests its slice, writes
         // its accumulator to disk, and the coordinator merges the files in
         // shard order.
-        let path = temp_path("kshard");
+        let scratch = ScratchDir::new("adawave-prop-kshard");
+        let path = scratch.join("acc.awa");
         let mut merged: Option<StreamingAdaWave> = None;
         for (lo, hi) in partition(points.len(), &raw_cuts) {
             let mut shard = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
@@ -143,7 +135,6 @@ proptest! {
                 Some(m) => m.merge(loaded).unwrap(),
             }
         }
-        std::fs::remove_file(&path).ok();
 
         let merged = merged.unwrap();
         prop_assert_eq!(merged.points_ingested(), points.len());
@@ -169,7 +160,8 @@ proptest! {
         let mut reference = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
         reference.ingest(points.view()).unwrap();
 
-        let path = temp_path("resume");
+        let scratch = ScratchDir::new("adawave-prop-resume");
+        let path = scratch.join("acc.awa");
         let mut stream = StreamingAdaWave::with_domain(config.clone(), domain.clone()).unwrap();
         let mut checkpointer = Checkpointer::new(&path, every);
         checkpointer.flush(&stream).unwrap(); // checkpoint 0: empty session
@@ -187,7 +179,6 @@ proptest! {
         if skip < points.len() {
             resumed.ingest(rows(&points, skip, points.len())).unwrap();
         }
-        std::fs::remove_file(&path).ok();
 
         prop_assert_eq!(resumed.points_ingested(), points.len());
         prop_assert_eq!(grid_bits(resumed.grid().unwrap()), grid_bits(reference.grid().unwrap()));

@@ -152,6 +152,14 @@ impl DenseGrid {
         }
     }
 
+    /// Scatter `lane` into the lane starting at `start` (stride `stride`).
+    #[inline]
+    fn write_lane(&mut self, start: usize, stride: usize, lane: &[f64]) {
+        for (k, &v) in lane.iter().enumerate() {
+            self.data[start + k * stride] = v;
+        }
+    }
+
     /// Run `f` over every lane along `axis` on `runtime`, returning the
     /// per-lane outputs in lane order. Lanes are independent 1-D signals,
     /// so the outputs are identical for every thread count. This is the
@@ -165,26 +173,14 @@ impl DenseGrid {
         let (starts, stride) = self.lanes(axis);
         runtime
             .par_chunks(&starts, LANE_CHUNK, |_, chunk| {
-                if stride == 1 {
-                    // Contiguous lanes (the innermost axis): hand the
-                    // transform a direct slice of the grid. Skipping the
-                    // gather is bit-identical — `f` sees the same values —
-                    // and lets its convolution loops run over unit-stride
-                    // memory the compiler can vectorize.
-                    chunk
-                        .iter()
-                        .map(|&start| f(&self.data[start..start + axis_len]))
-                        .collect::<Vec<O>>()
-                } else {
-                    let mut lane = vec![0.0; axis_len];
-                    chunk
-                        .iter()
-                        .map(|&start| {
-                            self.read_lane(start, stride, &mut lane);
-                            f(&lane)
-                        })
-                        .collect::<Vec<O>>()
-                }
+                let mut lane = vec![0.0; axis_len];
+                chunk
+                    .iter()
+                    .map(|&start| {
+                        self.read_lane(start, stride, &mut lane);
+                        f(&lane)
+                    })
+                    .collect::<Vec<O>>()
             })
             .into_iter()
             .flatten()
@@ -205,14 +201,7 @@ impl DenseGrid {
         let (new_starts, new_stride) = out.lanes(axis);
         let transformed: Vec<Vec<f64>> = self.transform_lanes(axis, runtime, f);
         for (lane_out, &new_start) in transformed.iter().zip(new_starts.iter()) {
-            if new_stride == 1 {
-                // Contiguous scatter for the innermost axis.
-                out.data[new_start..new_start + lane_out.len()].copy_from_slice(lane_out);
-            } else {
-                for (k, &v) in lane_out.iter().enumerate() {
-                    out.data[new_start + k * new_stride] = v;
-                }
-            }
+            out.write_lane(new_start, new_stride, lane_out);
         }
         out
     }
@@ -249,18 +238,8 @@ impl DenseGrid {
         let transformed: Vec<(Vec<f64>, Vec<f64>)> =
             self.transform_lanes(axis, runtime, |lane| dwt1d(lane, bank, mode));
         for ((a, d), &new_start) in transformed.iter().zip(new_starts.iter()) {
-            if new_stride == 1 {
-                // Contiguous scatter for the innermost axis.
-                approx.data[new_start..new_start + a.len()].copy_from_slice(a);
-                detail.data[new_start..new_start + d.len()].copy_from_slice(d);
-            } else {
-                for (k, &v) in a.iter().enumerate() {
-                    approx.data[new_start + k * new_stride] = v;
-                }
-                for (k, &v) in d.iter().enumerate() {
-                    detail.data[new_start + k * new_stride] = v;
-                }
-            }
+            approx.write_lane(new_start, new_stride, a);
+            detail.write_lane(new_start, new_stride, d);
         }
         (approx, detail)
     }
@@ -458,11 +437,11 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_lane_fast_path_is_bit_identical_to_gather() {
-        // Axis 1 of a 2-D grid has stride 1 (the contiguous fast path);
-        // axis 0 is strided (the gather path). Both must equal — bit for
-        // bit — a reference that extracts each lane with get() and runs
-        // the plain 1-D transforms, for every boundary mode and wavelet.
+    fn axis_transforms_match_the_per_lane_reference_bit_for_bit() {
+        // Axis 1 of a 2-D grid has stride 1, axis 0 is strided. Both must
+        // equal — bit for bit — a reference that extracts each lane with
+        // get() and runs the plain 1-D transforms, for every boundary mode
+        // and wavelet.
         let mut g = DenseGrid::zeros(&[7, 9]);
         let mut x = 0.37_f64;
         for i in 0..7 {

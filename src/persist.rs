@@ -142,6 +142,7 @@ pub fn load_model(path: &Path) -> Result<Box<dyn Model>, PersistError> {
 mod tests {
     use super::*;
     use crate::{standard_registry, AlgorithmSpec, PointMatrix};
+    use adawave_api::ScratchDir;
     use adawave_data::{shapes, Rng};
 
     fn noisy_blobs() -> PointMatrix {
@@ -153,12 +154,9 @@ mod tests {
         points
     }
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("adawave_persist_{name}_{}.awm", std::process::id()))
-    }
-
     #[test]
     fn adawave_and_kmeans_models_round_trip_through_files() {
+        let scratch = ScratchDir::new("adawave-persist");
         let registry = standard_registry();
         let points = noisy_blobs();
         for (name, spec) in [
@@ -169,7 +167,7 @@ mod tests {
             ),
         ] {
             let outcome = registry.fit_model(&spec, points.view()).unwrap();
-            let path = temp_path(name);
+            let path = scratch.join(format!("{name}.awm"));
             save_model(&path, outcome.model.as_ref()).unwrap();
             let loaded = load_model(&path).unwrap();
             assert_eq!(loaded.algorithm(), name);
@@ -179,7 +177,6 @@ mod tests {
                 outcome.clustering,
                 "{name}"
             );
-            std::fs::remove_file(&path).ok();
         }
     }
 
@@ -201,6 +198,7 @@ mod tests {
 
     #[test]
     fn every_registry_algorithm_round_trips_through_files() {
+        let scratch = ScratchDir::new("adawave-persist");
         let registry = standard_registry();
         let points = noisy_blobs();
         assert!(registry.len() >= 15, "registry shrank");
@@ -208,7 +206,7 @@ mod tests {
             let outcome = registry
                 .fit_model(&spec_for(name), points.view())
                 .unwrap_or_else(|e| panic!("{name} fit_model: {e}"));
-            let path = temp_path(name);
+            let path = scratch.join(format!("{name}.awm"));
             save_model(&path, outcome.model.as_ref())
                 .unwrap_or_else(|e| panic!("{name} save: {e}"));
             let loaded = load_model(&path).unwrap_or_else(|e| panic!("{name} load: {e}"));
@@ -220,12 +218,12 @@ mod tests {
                 outcome.clustering,
                 "{name}"
             );
-            std::fs::remove_file(&path).ok();
         }
     }
 
     #[test]
     fn models_that_cannot_serialize_error_instead_of_writing_garbage() {
+        let scratch = ScratchDir::new("adawave-persist");
         /// A model outside the standard registry whose `serialize` is `None`.
         struct Opaque;
         impl Model for Opaque {
@@ -242,15 +240,69 @@ mod tests {
                 "opaque".to_string()
             }
         }
-        let path = temp_path("opaque");
+        let path = scratch.join("opaque.awm");
         let err = save_model(&path, &Opaque).unwrap_err();
         assert!(matches!(err, PersistError::Unsupported(_)), "{err}");
         assert!(!path.exists());
     }
 
+    /// A model file written before quantization became f64-only (`cluster
+    /// --algo adawave --scale 8 --save-model` on `generate --dataset
+    /// synthetic --points-per-cluster 20 --seed 3`), with its
+    /// `precision f64` line.
+    const LEGACY_ADAWAVE_FILE: &str = "adawave-model v1\n\
+     algorithm adawave\n\
+     dims 2\n\
+     intervals 8 8\n\
+     down-intervals 4 4\n\
+     levels 1\n\
+     precision f64\n\
+     clusters 2\n\
+     min 3fa1d06b20231130 3f399df8de03a800\n\
+     max 3fefec04aae14f7f 3feea852bd5e87d8\n\
+     cells 11\n\
+     00000000000000000000000000000000 1\n\
+     00000000000000000000000000000001 1\n\
+     00000000000000000000000000000004 1\n\
+     00000000000000000000000000000005 1\n\
+     00000000000000000000000000000007 0\n\
+     0000000000000000000000000000000a 0\n\
+     0000000000000000000000000000000b 0\n\
+     0000000000000000000000000000000c 0\n\
+     0000000000000000000000000000000d 0\n\
+     0000000000000000000000000000000e 0\n\
+     0000000000000000000000000000000f 0\n";
+
+    #[test]
+    fn legacy_adawave_file_loads_predicts_and_resaves_byte_identically() {
+        let scratch = ScratchDir::new("adawave-persist");
+        let path = scratch.join("legacy.awm");
+        std::fs::write(&path, LEGACY_ADAWAVE_FILE).unwrap();
+        let model = load_model(&path).unwrap();
+        // Labels the writing release gave these training points.
+        for (point, expected) in [
+            ([0.12199816074101069, 0.7599128984112987], Some(0)),
+            ([0.9030197824785, 0.30933236454378366], Some(0)),
+            ([0.3848814692090171, 0.3812276364088238], Some(1)),
+            ([0.12812131855558093, 0.06208044657608753], Some(1)),
+            ([0.6309499316999166, 0.3563365993560711], None),
+            ([0.2792096882847187, 0.48424126421220004], None),
+            ([5.0, 5.0], None),
+        ] {
+            assert_eq!(model.predict_one(&point), expected, "{point:?}");
+        }
+        let resaved = scratch.join("resaved.awm");
+        save_model(&resaved, model.as_ref()).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&resaved).unwrap(),
+            LEGACY_ADAWAVE_FILE
+        );
+    }
+
     #[test]
     fn malformed_files_are_rejected_with_context() {
-        let path = temp_path("bad");
+        let scratch = ScratchDir::new("adawave-persist");
+        let path = scratch.join("bad.awm");
         for (text, needle) in [
             ("", "empty"),
             ("wrong-magic v1\n", "header"),
@@ -264,12 +316,18 @@ mod tests {
                 "adawave-model v1\nalgorithm adawave\ndims banana\n",
                 "banana",
             ),
+            (
+                // Quantization is f64-only: an f32 model is refused by
+                // field name instead of being served through the wrong cells.
+                "adawave-model v1\nalgorithm adawave\ndims 1\nintervals 4\n\
+                 down-intervals 2\nlevels 1\nprecision f32\n",
+                "field 'precision'",
+            ),
         ] {
             std::fs::write(&path, text).unwrap();
             let err = load_model(&path).map(|_| ()).unwrap_err();
             assert!(err.to_string().contains(needle), "{text:?} -> {err}");
         }
-        std::fs::remove_file(&path).ok();
         assert!(matches!(
             load_model(Path::new("/definitely/not/here.awm")).map(|_| ()),
             Err(PersistError::Io(_))

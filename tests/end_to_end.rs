@@ -2,6 +2,7 @@
 //! ground truth of the paper's synthetic workloads, exercising every crate
 //! together (data → grid → wavelet → core → metrics).
 
+use adawave_api::ScratchDir;
 use adawave_core::{AdaWave, AdaWaveConfig, ThresholdStrategy};
 use adawave_data::synthetic::{synthetic_benchmark, SYNTHETIC_NOISE_LABEL};
 use adawave_data::uci::roadmap_like;
@@ -93,10 +94,10 @@ fn csv_roundtrip_then_cluster() {
     // Save a dataset to CSV, load it back, cluster it: exercises the I/O
     // path a downstream user would take.
     let ds = synthetic_benchmark(40.0, 200, 13);
-    let path = std::env::temp_dir().join("adawave_end_to_end.csv");
+    let scratch = ScratchDir::new("adawave-end-to-end");
+    let path = scratch.join("dataset.csv");
     csv::save_csv(&ds, &path).expect("save");
     let loaded = csv::load_csv(&path).expect("load");
-    std::fs::remove_file(&path).ok();
     assert_eq!(loaded.len(), ds.len());
     assert_eq!(loaded.dims(), 2);
     let result = AdaWave::default().fit(loaded.view()).expect("adawave");

@@ -11,6 +11,7 @@ use adawave::{
     load_model, save_model, standard_registry, AlgorithmSpec, ClusterError, PointMatrix,
     PredictSupport,
 };
+use adawave_api::ScratchDir;
 use adawave_data::{shapes, Rng};
 
 /// Two blobs plus uniform background noise — the regime every algorithm
@@ -143,12 +144,10 @@ fn save_load_predict_round_trips_label_identically_for_adawave_and_kmeans() {
         vec![42.0, -42.0],
     ])
     .unwrap();
+    let scratch = ScratchDir::new("adawave-predict-parity");
     for name in ["adawave", "kmeans"] {
         let outcome = registry.fit_model(&spec(name), points.view()).unwrap();
-        let path = std::env::temp_dir().join(format!(
-            "adawave_predict_parity_{name}_{}.awm",
-            std::process::id()
-        ));
+        let path = scratch.join(format!("{name}.awm"));
         save_model(&path, outcome.model.as_ref()).unwrap_or_else(|e| panic!("{name}: {e}"));
         let loaded = load_model(&path).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(
@@ -161,7 +160,6 @@ fn save_load_predict_round_trips_label_identically_for_adawave_and_kmeans() {
             outcome.model.predict(fresh.view()).unwrap(),
             "{name}: roundtripped model diverged out of sample"
         );
-        std::fs::remove_file(&path).ok();
     }
 }
 

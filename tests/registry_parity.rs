@@ -235,6 +235,15 @@ fn bad_params_are_rejected_with_typed_errors() {
         matches!(err, ClusterError::UnknownParam { ref param, .. } if param == "bandwidth"),
         "{err:?}"
     );
+    // Quantization is f64-only, so `precision` is not a parameter.
+    let err = registry
+        .resolve(&AlgorithmSpec::new("adawave").with("precision", "f32"))
+        .map(|_| ())
+        .unwrap_err();
+    assert!(
+        matches!(err, ClusterError::UnknownParam { ref param, .. } if param == "precision"),
+        "{err:?}"
+    );
 
     // A value that does not parse as the declared type.
     let err = registry

@@ -14,6 +14,7 @@ use adawave::{
     model_loader, save_model, standard_registry, AlgorithmSpec, ModelStore, PointMatrix,
     ServeConfig, Server,
 };
+use adawave_api::ScratchDir;
 use adawave_data::{shapes, Rng};
 
 /// Two blobs plus uniform background noise (the registry-parity regime).
@@ -24,10 +25,6 @@ fn toy_points() -> PointMatrix {
     shapes::gaussian_blob(&mut points, &mut rng, &[0.75, 0.75], &[0.02, 0.02], 150);
     shapes::uniform_box(&mut points, &mut rng, &[0.0, 0.0], &[1.0, 1.0], 60);
     points
-}
-
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("adawave_e2e_{name}_{}.awm", std::process::id()))
 }
 
 fn points_as_csv(points: &PointMatrix) -> String {
@@ -57,7 +54,7 @@ fn served_predictions_match_in_process_models_under_concurrency() {
     let registry = standard_registry();
     let store = Arc::new(ModelStore::new(model_loader()));
 
-    let mut paths = Vec::new();
+    let scratch = ScratchDir::new("adawave-e2e");
     let mut offline = Vec::new();
     for (name, spec) in [
         ("adawave", AlgorithmSpec::new("adawave").with("scale", 32)),
@@ -67,11 +64,10 @@ fn served_predictions_match_in_process_models_under_concurrency() {
         ),
     ] {
         let outcome = registry.fit_model(&spec, points.view()).unwrap();
-        let path = temp_path(name);
+        let path = scratch.join(format!("{name}.awm"));
         save_model(&path, outcome.model.as_ref()).unwrap();
         store.load(name, &path).unwrap();
         offline.push((name, offline_csv(outcome.model.as_ref(), &points)));
-        paths.push(path);
     }
 
     let server = Server::start(
@@ -134,9 +130,6 @@ fn served_predictions_match_in_process_models_under_concurrency() {
 
     server.shutdown();
     server.join();
-    for path in paths {
-        std::fs::remove_file(&path).ok();
-    }
 }
 
 #[test]
@@ -144,7 +137,8 @@ fn hot_reload_swaps_a_retrained_model_atomically_under_load() {
     let points = toy_points();
     let registry = standard_registry();
     let store = Arc::new(ModelStore::new(model_loader()));
-    let path = temp_path("reload");
+    let scratch = ScratchDir::new("adawave-e2e");
+    let path = scratch.join("reload.awm");
 
     // v1: k=2. The retrained v2 (k=3, different seed) must label some
     // probe point differently, or the test cannot tell the versions
@@ -239,7 +233,6 @@ fn hot_reload_swaps_a_retrained_model_atomically_under_load() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -252,7 +245,8 @@ fn malformed_requests_get_typed_errors_and_noise_stays_noise() {
             points.view(),
         )
         .unwrap();
-    let path = temp_path("malformed");
+    let scratch = ScratchDir::new("adawave-e2e");
+    let path = scratch.join("malformed.awm");
     save_model(&path, outcome.model.as_ref()).unwrap();
     let store = Arc::new(ModelStore::new(model_loader()));
     store.load("blobs", &path).unwrap();
@@ -334,5 +328,4 @@ fn malformed_requests_get_typed_errors_and_noise_stays_noise() {
 
     server.shutdown();
     server.join();
-    std::fs::remove_file(&path).ok();
 }
