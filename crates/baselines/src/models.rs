@@ -29,12 +29,17 @@ fn write_matrix(out: &mut String, matrix: &PointMatrix) {
 }
 
 /// Read `rows` bare hex-float rows of `dims` values back into a matrix.
+/// Both counts come from the file, so the preallocation is checked and
+/// capped: a huge count fails on the missing rows instead of aborting.
 fn read_matrix(
     reader: &mut PayloadReader<'_>,
     rows: usize,
     dims: usize,
 ) -> Result<PointMatrix, String> {
-    let mut flat = Vec::with_capacity(rows * dims);
+    let len = rows
+        .checked_mul(dims)
+        .ok_or_else(|| format!("{rows} rows of {dims} values overflow"))?;
+    let mut flat = Vec::with_capacity(len.min(1 << 20));
     for _ in 0..rows {
         flat.extend(reader.float_row(dims)?);
     }

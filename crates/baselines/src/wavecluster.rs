@@ -78,21 +78,21 @@ pub fn wavecluster(points: PointsView<'_>, config: &WaveClusterConfig) -> Cluste
         Ok(q) => q,
         Err(_) => return Clustering::all_noise(n),
     };
-    let (_, assignment) = quantizer.quantize_with(points, config.runtime);
-    let lookup = LookupTable::new(quantizer.codec().clone(), assignment);
+    let (grid, assignment) = quantizer.quantize_with(points, config.runtime);
+    let codec = quantizer.codec();
+    let lookup = LookupTable::new(codec.clone(), assignment);
 
-    // Build the dense grid (WaveCluster's original data structure).
-    let shape: Vec<usize> = (0..dims)
-        .map(|j| quantizer.codec().intervals(j) as usize)
-        .collect();
+    // Build the dense grid (WaveCluster's original data structure) from
+    // the occupied cells' counts: each dense cell is written exactly once
+    // with an exact small integer, so visiting order cannot matter.
+    let shape: Vec<usize> = (0..dims).map(|j| codec.intervals(j) as usize).collect();
     let mut dense = DenseGrid::zeros(&shape);
-    for point in points.rows() {
-        let coords: Vec<usize> = quantizer
-            .cell_coords(point)
-            .into_iter()
-            .map(|c| c as usize)
-            .collect();
-        dense.add(&coords, 1.0);
+    let cells = dense.as_mut_slice();
+    for (key, count) in grid.iter() {
+        let flat = (0..dims).fold(0, |flat, j| {
+            flat * shape[j] + codec.coordinate(key, j) as usize
+        });
+        cells[flat] = count;
     }
 
     // Smooth with the wavelet low-pass filter, `levels` times. The centered

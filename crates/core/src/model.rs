@@ -105,7 +105,9 @@ impl AdaWaveModel {
         let min = reader.float_list("min", dims)?;
         let max = reader.float_list("max", dims)?;
         let cell_count: usize = reader.scalar("cells")?;
-        let mut cells = HashMap::with_capacity(cell_count);
+        // `cells` is untrusted: cap the preallocation so a huge count
+        // fails on the missing lines instead of aborting the process.
+        let mut cells = HashMap::with_capacity(cell_count.min(1 << 20));
         for _ in 0..cell_count {
             let line = reader.line()?;
             let (key_hex, id) = line
@@ -151,20 +153,11 @@ impl Model for AdaWaveModel {
         if !self.quantizer.bounds().contains(point) {
             return None;
         }
-        // Allocation-free downsampling: stream each coordinate out of the
-        // original-space key, shift it through the decomposition levels
-        // (saturating past 31, matching the fit path) and pack it straight
-        // into the transformed-space key.
         let key = self.quantizer.cell_key(point);
-        let codec = self.quantizer.codec();
-        let mut down_key = 0u128;
-        for j in 0..codec.dims() {
-            let c = codec
-                .coordinate(key, j)
-                .checked_shr(self.levels)
-                .unwrap_or(0);
-            down_key |= self.down_codec.pack_coord(j, c);
-        }
+        let down_key = self
+            .quantizer
+            .codec()
+            .downsample(key, self.levels, &self.down_codec);
         self.cells.get(&down_key).copied()
     }
 

@@ -160,6 +160,23 @@ impl KeyCodec {
         (key & !(mask << self.offsets[j])) | ((coord as u128) << self.offsets[j])
     }
 
+    /// Map a cell key of this (original) space to the cell it falls into
+    /// after `levels` decompositions, keyed by `down` (normally
+    /// [`downsampled(levels)`](Self::downsampled)). Each coordinate `c`
+    /// becomes `c >> levels` — Algorithm 1's lookup-table rule. Beyond 31
+    /// levels every u32 coordinate has collapsed to 0, so the shift
+    /// saturates instead of overflowing. Allocation-free: coordinates are
+    /// streamed out of `key` and packed straight into the result.
+    #[inline]
+    pub fn downsample(&self, key: u128, levels: u32, down: &KeyCodec) -> u128 {
+        let mut out = 0u128;
+        for j in 0..self.dims() {
+            let c = self.coordinate(key, j).checked_shr(levels).unwrap_or(0);
+            out |= down.pack_coord(j, c);
+        }
+        out
+    }
+
     /// Append the codec to an artifact payload as one `intervals <m...>`
     /// line. The bit layout (and therefore every packed key) is a pure
     /// function of the interval counts, so this is the codec's entire
@@ -281,6 +298,38 @@ mod tests {
         assert_eq!(down2.all_intervals(), &[32, 25, 1]);
         let down7 = codec.downsampled(7).unwrap();
         assert_eq!(down7.all_intervals(), &[1, 1, 1]);
+    }
+
+    #[test]
+    fn downsample_halves_coordinates() {
+        let codec = KeyCodec::uniform(2, 16).unwrap();
+        let t1 = codec.downsampled(1).unwrap();
+        let down = |coords: &[u32], levels, t: &KeyCodec| {
+            t.unpack(codec.downsample(codec.pack(coords), levels, t))
+        };
+        assert_eq!(down(&[6, 9], 1, &t1), vec![3, 4]);
+        assert_eq!(down(&[15, 0], 1, &t1), vec![7, 0]);
+        let t2 = codec.downsampled(2).unwrap();
+        assert_eq!(down(&[6, 9], 2, &t2), vec![1, 2]);
+        // Past 31 levels the shift saturates: every coordinate is 0.
+        let wide = KeyCodec::new(&[u32::MAX]).unwrap();
+        let top = wide.pack(&[u32::MAX - 1]);
+        for (levels, expected) in [(31, 1), (32, 0), (40, 0)] {
+            let t = wide.downsampled(levels).unwrap();
+            assert_eq!(
+                wide.downsample(top, levels, &t),
+                expected,
+                "levels {levels}"
+            );
+        }
+    }
+
+    #[test]
+    fn downsample_level_zero_is_identity() {
+        let codec = KeyCodec::uniform(3, 8).unwrap();
+        let key = codec.pack(&[1, 2, 3]);
+        let t0 = codec.downsampled(0).unwrap();
+        assert_eq!(codec.downsample(key, 0, &t0), key);
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //!
 //! The wavelet transform halves each dimension per decomposition level, so a
 //! cell with coordinates `c` in the original quantized space corresponds to
-//! the cell `c >> level` in the transformed space. The lookup table stores,
+//! the cell `c >> level` in the transformed space; [`KeyCodec::downsample`]
+//! is the one implementation of that rule. The lookup table stores,
 //! for every data point, the key of its original cell; mapping a point to a
 //! cluster is then: original cell → transformed cell → cluster id.
 
-use crate::{ComponentLabels, KeyCodec, Result};
+use crate::{ComponentLabels, KeyCodec};
 
 /// Maps data points to grid cells across decomposition levels.
 #[derive(Debug, Clone)]
@@ -29,49 +30,6 @@ impl LookupTable {
         }
     }
 
-    /// Number of points in the table.
-    pub fn len(&self) -> usize {
-        self.point_cells.len()
-    }
-
-    /// Whether the table holds no points.
-    pub fn is_empty(&self) -> bool {
-        self.point_cells.is_empty()
-    }
-
-    /// The codec of the original quantized space.
-    pub fn original_codec(&self) -> &KeyCodec {
-        &self.original_codec
-    }
-
-    /// The codec of the transformed space after `levels` decompositions.
-    pub fn transformed_codec(&self, levels: u32) -> Result<KeyCodec> {
-        self.original_codec.downsampled(levels)
-    }
-
-    /// Key of a point's original (level-0) cell.
-    pub fn original_cell(&self, point: usize) -> u128 {
-        self.point_cells[point]
-    }
-
-    /// Key of the cell a point falls into after `levels` decompositions,
-    /// in the coordinate system of `transformed_codec(levels)`.
-    pub fn transformed_cell(&self, point: usize, levels: u32, transformed: &KeyCodec) -> u128 {
-        self.downsample_key(self.point_cells[point], levels, transformed)
-    }
-
-    /// Map the coordinates of an original-space cell key down `levels`.
-    /// Beyond 31 levels every u32 coordinate has collapsed to 0, so the
-    /// shift saturates instead of overflowing.
-    pub fn downsample_key(&self, key: u128, levels: u32, transformed: &KeyCodec) -> u128 {
-        let coords = self.original_codec.unpack(key);
-        let down: Vec<u32> = coords
-            .iter()
-            .map(|&c| c.checked_shr(levels).unwrap_or(0))
-            .collect();
-        transformed.pack(&down)
-    }
-
     /// Assign every point the cluster id of its transformed-space cell.
     /// Points whose cell was removed by denoising/thresholding get `None`
     /// (they are noise).
@@ -83,7 +41,9 @@ impl LookupTable {
     ) -> Vec<Option<usize>> {
         self.point_cells
             .iter()
-            .map(|&cell| labels.cluster_of(self.downsample_key(cell, levels, transformed)))
+            .map(|&cell| {
+                labels.cluster_of(self.original_codec.downsample(cell, levels, transformed))
+            })
             .collect()
     }
 }
@@ -92,29 +52,6 @@ impl LookupTable {
 mod tests {
     use super::*;
     use crate::{connected_components, Connectivity, Quantizer, SparseGrid};
-
-    #[test]
-    fn transformed_cell_halves_coordinates() {
-        let codec = KeyCodec::uniform(2, 16).unwrap();
-        let cells = vec![codec.pack(&[6, 9]), codec.pack(&[15, 0])];
-        let table = LookupTable::new(codec, cells);
-        let t1 = table.transformed_codec(1).unwrap();
-        assert_eq!(t1.unpack(table.transformed_cell(0, 1, &t1)), vec![3, 4]);
-        assert_eq!(t1.unpack(table.transformed_cell(1, 1, &t1)), vec![7, 0]);
-        let t2 = table.transformed_codec(2).unwrap();
-        assert_eq!(t2.unpack(table.transformed_cell(0, 2, &t2)), vec![1, 2]);
-    }
-
-    #[test]
-    fn level_zero_is_identity() {
-        let codec = KeyCodec::uniform(3, 8).unwrap();
-        let key = codec.pack(&[1, 2, 3]);
-        let table = LookupTable::new(codec.clone(), vec![key]);
-        let t0 = table.transformed_codec(0).unwrap();
-        assert_eq!(table.transformed_cell(0, 0, &t0), key);
-        assert_eq!(table.len(), 1);
-        assert!(!table.is_empty());
-    }
 
     #[test]
     fn assign_points_end_to_end() {
@@ -137,7 +74,7 @@ mod tests {
         filtered.remove(middle_key);
 
         let labels = connected_components(&filtered, quantizer.codec(), Connectivity::Face);
-        let t0 = table.transformed_codec(0).unwrap();
+        let t0 = quantizer.codec().downsampled(0).unwrap();
         let point_labels = table.assign_points(&labels, 0, &t0);
         assert_eq!(point_labels.len(), 5);
         assert!(point_labels[0].is_some());
@@ -159,12 +96,13 @@ mod tests {
         .unwrap();
         let quantizer = Quantizer::fit(points.view(), 8).unwrap();
         let (_, assignment) = quantizer.quantize(points.view());
-        let table = LookupTable::new(quantizer.codec().clone(), assignment.clone());
+        let codec = quantizer.codec();
+        let table = LookupTable::new(codec.clone(), assignment.clone());
 
-        let down_codec = table.transformed_codec(1).unwrap();
+        let down_codec = codec.downsampled(1).unwrap();
         let mut down_grid = SparseGrid::new();
         for &cell in &assignment {
-            down_grid.increment(table.downsample_key(cell, 1, &down_codec));
+            down_grid.increment(codec.downsample(cell, 1, &down_codec));
         }
         let labels = connected_components(&down_grid, &down_codec, Connectivity::Face);
         let point_labels = table.assign_points(&labels, 1, &down_codec);
@@ -176,8 +114,8 @@ mod tests {
     #[test]
     fn empty_table() {
         let codec = KeyCodec::uniform(2, 8).unwrap();
-        let table = LookupTable::new(codec, vec![]);
-        assert!(table.is_empty());
-        assert_eq!(table.len(), 0);
+        let table = LookupTable::new(codec.clone(), vec![]);
+        let labels = connected_components(&SparseGrid::new(), &codec, Connectivity::Face);
+        assert!(table.assign_points(&labels, 0, &codec).is_empty());
     }
 }

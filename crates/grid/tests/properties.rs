@@ -12,6 +12,18 @@ fn points_strategy(dims: usize) -> impl Strategy<Value = PointMatrix> {
         .prop_map(|rows| PointMatrix::from_rows(rows).expect("constant-width rows"))
 }
 
+/// The allocating form the lookup table, the grid model and the serving
+/// model each used to carry: unpack every coordinate, shift it through
+/// the levels (saturating past 31) and pack the result.
+fn downsample_reference(codec: &KeyCodec, key: u128, levels: u32, down: &KeyCodec) -> u128 {
+    let coords: Vec<u32> = codec
+        .unpack(key)
+        .iter()
+        .map(|&c| c.checked_shr(levels).unwrap_or(0))
+        .collect();
+    down.pack(&coords)
+}
+
 proptest! {
     #[test]
     fn key_pack_unpack_roundtrip(
@@ -32,6 +44,25 @@ proptest! {
         let ka = codec.pack(&a);
         let kb = codec.pack(&b);
         prop_assert_eq!(ka == kb, a == b);
+    }
+
+    #[test]
+    fn downsample_matches_the_unpack_shift_pack_reference(
+        // Interval counts from 1 up to 2^32 - 1 (a random u32 shifted down
+        // by 0..32 bits); at most 4 dims keeps every codec within 128 bits.
+        sizes in prop::collection::vec((1u32..u32::MAX, 0u32..32), 1..5),
+        raw in prop::collection::vec(0u32..u32::MAX, 4),
+        levels in 0u32..41,
+    ) {
+        let intervals: Vec<u32> = sizes.iter().map(|&(m, s)| (m >> s).max(1)).collect();
+        let codec = KeyCodec::new(&intervals).unwrap();
+        let coords: Vec<u32> = intervals.iter().zip(&raw).map(|(&m, &r)| r % m).collect();
+        let key = codec.pack(&coords);
+        let down = codec.downsampled(levels).unwrap();
+        prop_assert_eq!(
+            codec.downsample(key, levels, &down),
+            downsample_reference(&codec, key, levels, &down)
+        );
     }
 
     #[test]

@@ -323,6 +323,28 @@ mod tests {
                  down-intervals 2\nlevels 1\nprecision f32\n",
                 "field 'precision'",
             ),
+            // Counts read from the file must not size an allocation: a
+            // huge count is a truncated payload, never an abort.
+            (
+                "adawave-model v1\nalgorithm adawave\ndims 1\nintervals 4\n\
+                 down-intervals 2\nlevels 1\nprecision f64\nclusters 1\n\
+                 min 0000000000000000\nmax 3ff0000000000000\n\
+                 cells 1000000000000000\n",
+                "truncated",
+            ),
+            (
+                "adawave-model v1\nalgorithm kmeans\ndims 1000000000000000\ncentroids 1\n",
+                "truncated",
+            ),
+            (
+                "adawave-model v1\nalgorithm kmeans\ndims 2\ncentroids 1000000000000000\n",
+                "truncated",
+            ),
+            (
+                "adawave-model v1\nalgorithm kmeans\ndims 1000000000000\n\
+                 centroids 1000000000000\n",
+                "overflow",
+            ),
         ] {
             std::fs::write(&path, text).unwrap();
             let err = load_model(&path).map(|_| ()).unwrap_err();
